@@ -5,14 +5,15 @@ GO ?= go
 # strategy-labeled plan search) shared by bench and bench-smoke.
 SWEEP_BENCH = BenchmarkSweep_SharedCalibration$$|BenchmarkSweepThroughput$$|BenchmarkReplayEngine|BenchmarkSweep_FabricCampaign|BenchmarkSweep_ScheduleCampaign|BenchmarkSweep_DiskCacheWarmStart|BenchmarkPlan_BeamVsExhaustive|BenchmarkPlan_BranchAndBound
 
-.PHONY: check fmt vet build test race alloc-guard bench bench-diff bench-smoke benchsmoke plan-smoke schedule-smoke serve-smoke obs-smoke
+.PHONY: check fmt vet build test race alloc-guard bench bench-diff bench-smoke benchsmoke fuzz-smoke plan-smoke schedule-smoke serve-smoke obs-smoke
 
 # check is the CI gate: formatting, static analysis, full build, tests,
 # the race detector on the concurrent service/cache/replay packages, the
 # compiled-engine allocation budget, a one-iteration benchmark smoke pass,
-# and the planner, schedule, planning-service and observability acceptance
-# smokes.
-check: fmt vet build test race alloc-guard benchsmoke plan-smoke schedule-smoke serve-smoke obs-smoke
+# a trace-decoder fuzz pass, and the planner, schedule, planning-service and
+# observability acceptance smokes. CI runs each of these targets as its own
+# named step instead of calling check, so every gate runs exactly once.
+check: fmt vet build test race alloc-guard benchsmoke fuzz-smoke plan-smoke schedule-smoke serve-smoke obs-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -48,6 +49,12 @@ alloc-guard:
 # benchsmoke runs every benchmark once as a regression canary.
 benchsmoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
+
+# fuzz-smoke fuzzes the native trace decoder for 15 s against the
+# reflective encoding/json codec kept in its tests as the oracle: both must
+# agree on error vs success, on every decoded trace and on its encoding.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJSON$$' -fuzztime 15s ./internal/trace
 
 # bench measures the sweep hot path (shared-calibration campaign, raw
 # uncached throughput, and per-fabric binding) with allocation stats,

@@ -622,9 +622,11 @@ func SaveTraces(m *trace.Multi, dir string) error {
 	return nil
 }
 
-// LoadTraces reads every rank_<N>.json in dir, sorted by rank. Gaps in the
-// rank numbering are tolerated: the trace set is whatever ranks are
-// present, not the contiguous prefix starting at 0.
+// LoadTraces reads every rank_<N>.json in dir, sorted by rank, decoding
+// the files concurrently. Gaps in the rank numbering are tolerated: the
+// trace set is whatever ranks are present, not the contiguous prefix
+// starting at 0. Two files naming the same rank (rank_1.json and
+// rank_01.json) are an error.
 func LoadTraces(dir string) (*trace.Multi, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "rank_*.json"))
 	if err != nil {
@@ -647,21 +649,33 @@ func LoadTraces(dir string) (*trace.Multi, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("core: no rank_*.json traces in %s", dir)
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].rank < files[j].rank })
+	sort.Slice(files, func(i, j int) bool {
+		if files[i].rank != files[j].rank {
+			return files[i].rank < files[j].rank
+		}
+		return files[i].path < files[j].path
+	})
+	for i := 1; i < len(files); i++ {
+		if a, b := files[i-1], files[i]; a.rank == b.rank {
+			return nil, fmt.Errorf("core: %s and %s both hold rank %d", filepath.Base(a.path), filepath.Base(b.path), a.rank)
+		}
+	}
 
-	ranks := make([]*trace.Trace, 0, len(files))
-	for _, rf := range files {
-		f, err := os.Open(rf.path)
+	ranks, err := trace.DecodeAll(len(files), func(i int) (*trace.Trace, error) {
+		rf := files[i]
+		data, err := os.ReadFile(rf.path)
 		if err != nil {
 			return nil, err
 		}
-		t, err := trace.DecodeJSON(f)
-		f.Close()
+		t, err := trace.ParseJSON(data)
 		if err != nil {
 			return nil, fmt.Errorf("core: rank %d: %w", rf.rank, err)
 		}
 		t.Rank = rf.rank
-		ranks = append(ranks, t)
+		return t, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &trace.Multi{Ranks: ranks}, nil
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"lumos/internal/manip"
@@ -201,6 +203,62 @@ func TestLoadTracesGappedRanks(t *testing.T) {
 	}
 	if rep.Iteration <= 0 {
 		t.Fatal("no iteration time from gapped trace set")
+	}
+}
+
+// TestLoadTracesDuplicateRanks: Atoi reads rank_1, rank_01 and rank_+1 as
+// the same rank, so a directory holding two of them must be rejected, not
+// loaded as two traces of rank 1.
+func TestLoadTracesDuplicateRanks(t *testing.T) {
+	ctx := context.Background()
+	traces, err := New().Profile(ctx, testConfig(t), 19)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alias := range []string{"rank_01.json", "rank_+1.json"} {
+		dir := t.TempDir()
+		if err := SaveTraces(traces, dir); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "rank_1.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, alias), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadTraces(dir)
+		if err == nil || !strings.Contains(err.Error(), "rank_1.json") || !strings.Contains(err.Error(), alias) {
+			t.Fatalf("%s beside rank_1.json: err = %v, want one naming both files", alias, err)
+		}
+	}
+}
+
+// TestLoadTracesDecodeError: a corrupt rank file fails the load with the
+// lowest corrupt rank and the fault's position.
+func TestLoadTracesDecodeError(t *testing.T) {
+	ctx := context.Background()
+	traces, err := New().Profile(ctx, testConfig(t), 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := SaveTraces(traces, dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []int{1, 3} {
+		p := filepath.Join(dir, fmt.Sprintf("rank_%d.json", r))
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, data[:len(data)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = LoadTraces(dir)
+	if err == nil || !strings.Contains(err.Error(), "rank 1:") || !strings.Contains(err.Error(), "unexpected end of input") {
+		t.Fatalf("err = %v, want rank 1's truncation", err)
 	}
 }
 

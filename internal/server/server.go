@@ -37,7 +37,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -371,16 +370,18 @@ func (s *Server) loadProfileTraces(ctx context.Context, req *ProfileRequest, cfg
 	case req.TraceDir != "":
 		return lumos.LoadTraces(req.TraceDir)
 	case len(req.Traces) > 0:
-		m := &lumos.Multi{Ranks: make([]*lumos.Trace, len(req.Traces))}
-		for i, raw := range req.Traces {
-			t, err := trace.DecodeJSON(bytes.NewReader(raw))
+		ranks, err := trace.DecodeAll(len(req.Traces), func(i int) (*trace.Trace, error) {
+			t, err := trace.ParseJSON(req.Traces[i])
 			if err != nil {
 				return nil, fmt.Errorf("inline trace %d: %w", i, err)
 			}
 			t.Rank = i
-			m.Ranks[i] = t
+			return t, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		return m, nil
+		return &lumos.Multi{Ranks: ranks}, nil
 	default:
 		return s.tk.Profile(ctx, cfg, *req.Seed)
 	}

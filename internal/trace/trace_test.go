@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -82,6 +85,17 @@ func sampleTrace() *Trace {
 		CommID: 42, CommSeq: 5, CommBytes: 1 << 20, PeerRank: -1,
 		Layer: 7, Microbatch: 2, Pass: PassForward,
 	})
+	tr.Add(Event{
+		Name: "cudaStreamWaitEvent", Cat: CatCUDARuntime, Ts: 45000, Dur: 1000, PID: 3, TID: 1,
+		Runtime: RuntimeStreamWaitEvent, CUDAEvent: 17, Stream: 20,
+		PeerRank: -1, Layer: -1, Microbatch: 2, Pass: PassForward,
+	})
+	tr.Add(Event{
+		Name: "ncclDevKernel_SendRecv_Send", Cat: CatKernel, Ts: 60000, Dur: 5000, PID: 3, TID: 20,
+		Correlation: 101, Stream: 20, Class: KCComm, Comm: CommSend,
+		CommID: 43, CommSeq: 1, CommBytes: 4096, PeerRank: 5,
+		Layer: -1, Microbatch: 2, Pass: PassForward,
+	})
 	return tr
 }
 
@@ -95,23 +109,38 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Rank != tr.Rank {
-		t.Fatalf("rank %d != %d", got.Rank, tr.Rank)
-	}
-	if got.Meta["model"] != "test" {
-		t.Fatal("meta lost")
+	if got.Rank != tr.Rank || !reflect.DeepEqual(got.Meta, tr.Meta) {
+		t.Fatalf("rank %d meta %v, want %d %v", got.Rank, got.Meta, tr.Rank, tr.Meta)
 	}
 	if len(got.Events) != len(tr.Events) {
 		t.Fatalf("event count %d != %d", len(got.Events), len(tr.Events))
 	}
 	for i := range tr.Events {
-		a, b := tr.Events[i], got.Events[i]
-		if a.Name != b.Name || a.Cat != b.Cat || a.Ts != b.Ts || a.Dur != b.Dur ||
-			a.TID != b.TID || a.Correlation != b.Correlation || a.Class != b.Class ||
-			a.Comm != b.Comm || a.CommID != b.CommID || a.CommSeq != b.CommSeq ||
-			a.CommBytes != b.CommBytes || a.Layer != b.Layer || a.Microbatch != b.Microbatch ||
-			a.Pass != b.Pass || a.Runtime != b.Runtime || a.FLOPs != b.FLOPs || a.Bytes != b.Bytes {
-			t.Fatalf("event %d mismatch:\n  in:  %+v\n  out: %+v", i, a, b)
+		if got.Events[i] != tr.Events[i] {
+			t.Fatalf("event %d mismatch:\n  in:  %+v\n  out: %+v", i, tr.Events[i], got.Events[i])
+		}
+	}
+}
+
+// TestAppendFloatMatchesEncodingJSON checks the float formatter at the
+// edges of encoding/json's 'f'/'e' switch (1e-6 and 1e21) and its exponent
+// clean-up, which trace timestamps never reach.
+func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
+	var vals []float64
+	for _, v := range []float64{1e-6, 1e21, 1e-7, 1e-9, 1e-10, 1e20, 1e22, 1e-300, 1e300,
+		math.SmallestNonzeroFloat64, math.MaxFloat64, 0.001, 123456.789, 5e-324, 0} {
+		vals = append(vals, v, -v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1)))
+	}
+	for _, v := range vals {
+		if math.IsInf(v, 0) {
+			continue
+		}
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendFloat(nil, v); string(got) != string(want) {
+			t.Errorf("appendFloat(%v) = %s, want %s", v, got, want)
 		}
 	}
 }
@@ -159,7 +188,7 @@ func TestStreamsAndThreads(t *testing.T) {
 func TestFilterInPlace(t *testing.T) {
 	tr := sampleTrace()
 	tr.FilterInPlace(func(e *Event) bool { return e.IsGPU() })
-	if len(tr.Events) != 2 {
+	if len(tr.Events) != 3 {
 		t.Fatalf("got %d events", len(tr.Events))
 	}
 	for i := range tr.Events {
