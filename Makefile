@@ -3,7 +3,7 @@ GO ?= go
 # SWEEP_BENCH selects the sweep/planner hot-path benchmarks (shared
 # calibration, uncached throughput, fabric binding, schedule campaigns,
 # strategy-labeled plan search) shared by bench and bench-smoke.
-SWEEP_BENCH = BenchmarkSweep_SharedCalibration$$|BenchmarkSweepThroughput$$|BenchmarkReplayEngine|BenchmarkSweep_FabricCampaign|BenchmarkSweep_ScheduleCampaign|BenchmarkSweep_DiskCacheWarmStart|BenchmarkPlan_BeamVsExhaustive|BenchmarkPlan_BranchAndBound
+SWEEP_BENCH = BenchmarkSweep_SharedCalibration$$|BenchmarkSweepThroughput$$|BenchmarkReplayEngine|BenchmarkSweep_FabricCampaign|BenchmarkSweep_ScheduleCampaign|BenchmarkSweep_DiskCacheWarmStart|BenchmarkPlan_BnBVsExhaustive|BenchmarkPlan_BranchAndBound
 
 .PHONY: check fmt vet build test race alloc-guard bench bench-diff bench-smoke benchsmoke fuzz-smoke plan-smoke schedule-smoke serve-smoke obs-smoke
 
@@ -85,9 +85,9 @@ bench-smoke:
 	$(GO) test -run xxx -bench '$(SWEEP_BENCH)' -benchtime 1x -count 1 .
 
 # plan-smoke is the deployment-planner acceptance gate: examples/autotune
-# exits non-zero unless beam search, successive halving, and exact
-# branch-and-bound find the same best configuration as an exhaustive sweep
-# of the fig7/fig8 spaces while simulating strictly fewer points.
+# exits non-zero unless exact branch-and-bound finds the same best
+# configuration as an exhaustive sweep of the fig7/fig8 spaces while
+# simulating strictly fewer points.
 plan-smoke:
 	$(GO) run ./examples/autotune
 

@@ -40,7 +40,7 @@ type result struct {
 	Fabric string `json:"fabric,omitempty"`
 	// Strategy is the search-strategy label for planner benchmarks
 	// (sub-benchmark names containing "strategy=<name>"), so entries are
-	// comparable across exhaustive/beam/halving/bnb runs.
+	// comparable across exhaustive/bnb runs.
 	Strategy string `json:"strategy,omitempty"`
 	// Space is the search-space-size label for planner benchmarks
 	// (sub-benchmark names containing "space=<points>"), so large-space
@@ -68,7 +68,7 @@ type result struct {
 // fabricRe extracts the fabric label from a sub-benchmark name like
 // "BenchmarkSweep_FabricCampaign/fabric=nvl72-8" (the trailing -N is the
 // GOMAXPROCS suffix go test appends); strategyRe does the same for planner
-// benchmarks like "BenchmarkPlan_BeamVsExhaustive/strategy=beam4-8". The
+// benchmarks like "BenchmarkPlan_BnBVsExhaustive/strategy=exhaustive-8". The
 // labels may be followed by further /label=value segments (e.g.
 // "strategy=bnb/space=131072-8"), so each match ends at a segment boundary
 // or end of name, not only at end of name.

@@ -12,8 +12,8 @@ func TestParseLineLabels(t *testing.T) {
 		cache    string
 	}{
 		{
-			line:     "BenchmarkPlan_BeamVsExhaustive/strategy=beam4-8 	      20	  52047619 ns/op	       374.2 best-ms",
-			strategy: "beam4",
+			line:     "BenchmarkPlan_BnBVsExhaustive/strategy=exhaustive-8 	      20	  52047619 ns/op	       374.2 best-ms",
+			strategy: "exhaustive",
 		},
 		{
 			// Composite label: the strategy segment is followed by a space

@@ -32,14 +32,15 @@
 //	                [-pp-range 1,2,4] [-dp-range 1,2,4] [-mb-range 4,8] \
 //	                [-schedule 1f1b,interleaved2,zb-h1] \
 //	                [-fabric flat,nvl72] [-degrade 1,0.5] \
-//	                [-strategy auto|exhaustive|beam|halving] [-beam 8] [-eta 3] \
+//	                [-strategy auto|exhaustive|bnb] \
 //	                [-budget 0] [-gpu-mem-gib 80] [-zero 0|1|2] [-top 10] \
 //	                [-trace search.json] [-explain explain.json] [-metrics]
-//	    guided deployment search: expand the parallelism × microbatch ×
+//	    exact deployment search: expand the parallelism × microbatch ×
 //	    schedule × fabric space lazily, rule out configurations that would
 //	    OOM with the analytic memory model, rank the rest by roofline cost
 //	    bounds with schedule-specific bubble terms, simulate only the
-//	    survivors the strategy promotes, and print the Pareto frontier over
+//	    points branch-and-bound (auto) cannot prune — or every feasible
+//	    point with -strategy exhaustive — and print the Pareto frontier over
 //	    (iteration time, GPUs, peak memory); -explain additionally writes a
 //	    structured report of every simulated point (analytic bound vs
 //	    simulated time) and every pruned subtree
@@ -69,6 +70,7 @@ import (
 	"lumos"
 	"lumos/internal/analysis"
 	"lumos/internal/replay"
+	"lumos/internal/server"
 )
 
 func usage() {
@@ -324,76 +326,78 @@ func cmdWhatIf(ctx context.Context, args []string) error {
 	return nil
 }
 
-// fabricByName resolves a fabric preset for the given world size via the
-// shared lumos.FabricPreset resolver, so the CLI and the planning service
-// accept identical names and print identical menus.
-func fabricByName(name string, world int) (lumos.Fabric, error) {
-	return lumos.FabricPreset(name, world)
+// listFlag is a comma-separated flag value parsed element by element
+// straight into a request field.
+type listFlag[T any] struct {
+	dst   *[]T
+	parse func(string) (T, error)
 }
 
-// parseScheduleList validates a comma-separated -schedule list, resolving
-// each spec so unknown names fail fast with the full menu of valid
-// schedules (parity with the -fabric and -strategy menus).
-func parseScheduleList(s string) ([]string, error) {
+// String is the (empty) default shown in -h.
+func (listFlag[T]) String() string { return "" }
+
+func (f listFlag[T]) Set(s string) error {
+	*f.dst = nil
 	if strings.TrimSpace(s) == "" {
-		return nil, nil
+		return nil
 	}
-	var out []string
 	for _, part := range strings.Split(s, ",") {
-		spec, err := lumos.ParseSchedule(part)
+		v, err := f.parse(strings.TrimSpace(part))
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("bad list element %q: %w", part, err)
 		}
-		out = append(out, spec.Name())
+		*f.dst = append(*f.dst, v)
 	}
-	return out, nil
+	return nil
 }
 
-// parseFloatList parses "1,0.75,0.5" into []float64.
-func parseFloatList(s string) ([]float64, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad list element %q: %w", part, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
+func ints(dst *[]int) listFlag[int] { return listFlag[int]{dst, strconv.Atoi} }
+
+func floats(dst *[]float64) listFlag[float64] {
+	return listFlag[float64]{dst, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }}
 }
 
-// parseIntList parses "2,4,8" into []int.
-func parseIntList(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad list element %q: %w", part, err)
-		}
-		out = append(out, n)
-	}
-	return out, nil
+func names(dst *[]string) listFlag[string] {
+	return listFlag[string]{dst, func(s string) (string, error) { return s, nil }}
+}
+
+// sweepFlags binds the `lumos sweep` campaign flags to req, the request
+// lumosd decodes from a POST /v1/sweep body.
+func sweepFlags(fs *flag.FlagSet, req *server.SweepRequest) {
+	fs.Var(ints(&req.TPRange), "tp-range", "comma-separated TP grid (default: base TP)")
+	fs.Var(ints(&req.PPRange), "pp-range", "comma-separated PP grid")
+	fs.Var(ints(&req.DPRange), "dp-range", "comma-separated DP grid")
+	fs.Var(names(&req.Archs), "arch", "comma-separated architecture variants (e.g. v1,v2,v3,v4)")
+	fs.Var(names(&req.Schedules), "schedule", "comma-separated pipeline schedules to re-predict the base under (1f1b|gpipe|interleaved[V]|zb-h1)")
+	fs.Var(names(&req.Fabrics), "fabric", "comma-separated fabric presets to re-price the base on (flat|nvl72|spine[N])")
+	fs.Var(floats(&req.Degrade), "degrade", "comma-separated network bandwidth factors for degraded-network what-ifs, applied to every tier beyond the NVLink domain (e.g. 1,0.75,0.5)")
+	fs.BoolVar(&req.WhatIf, "whatif", false, "include kernel counterfactuals (2x GEMM/attention/comm, operator fusion)")
+	fs.IntVar(&req.Top, "top", 10, "print only the K best-ranked scenarios (0 = all)")
+}
+
+// planFlags binds the `lumos plan` search flags to req, the request lumosd
+// decodes from a POST /v1/plan body.
+func planFlags(fs *flag.FlagSet, req *server.PlanRequest) {
+	fs.Var(ints(&req.TPRange), "tp-range", "comma-separated TP grid (default: base TP; other TPs are out of manipulation scope)")
+	fs.Var(ints(&req.PPRange), "pp-range", "comma-separated PP grid (default: base PP)")
+	fs.Var(ints(&req.DPRange), "dp-range", "comma-separated DP grid (default: base DP)")
+	fs.Var(ints(&req.MBRange), "mb-range", "comma-separated microbatch grid (default: base -mb)")
+	fs.Var(names(&req.Schedules), "schedule", "comma-separated pipeline schedules to search over (1f1b|gpipe|interleaved[V]|zb-h1; default: the base schedule)")
+	fs.Var(names(&req.Fabrics), "fabric", "comma-separated fabric presets to search over (flat|nvl72|spine[N]; default: the profiled fabric)")
+	fs.Var(floats(&req.Degrade), "degrade", "comma-separated network bandwidth factors beyond the NVLink domain (e.g. 1,0.75,0.5)")
+	fs.StringVar(&req.Strategy, "strategy", "auto", "search strategy: auto|exhaustive|bnb (auto = bnb)")
+	fs.IntVar(&req.Budget, "budget", 0, "max points promoted to full simulation (0 = no cap)")
+	fs.Float64Var(&req.GPUMemGiB, "gpu-mem-gib", 80, "device memory capacity in GiB for the feasibility model")
+	fs.IntVar(&req.ZeRO, "zero", 0, "ZeRO sharding stage for the memory model: 0 (none), 1 (optimizer), 2 (+gradients)")
+	fs.IntVar(&req.Top, "top", 10, "print only the K best dominated points (0 = all)")
 }
 
 func cmdSweep(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	mdl, tp, pp, dp, mb, seed := deployFlags(fs)
 	in := fs.String("in", "", "profiled trace directory of the base config (empty = profile now)")
-	tpRange := fs.String("tp-range", "", "comma-separated TP grid (default: base TP)")
-	ppRange := fs.String("pp-range", "", "comma-separated PP grid")
-	dpRange := fs.String("dp-range", "", "comma-separated DP grid")
-	archList := fs.String("arch", "", "comma-separated architecture variants (e.g. v1,v2,v3,v4)")
-	schedList := fs.String("schedule", "", "comma-separated pipeline schedules to re-predict the base under (1f1b|gpipe|interleaved[V]|zb-h1)")
-	fabricList := fs.String("fabric", "", "comma-separated fabric presets to re-price the base on (flat|nvl72|spine[N])")
-	degradeList := fs.String("degrade", "", "comma-separated network bandwidth factors for degraded-network what-ifs, applied to every tier beyond the NVLink domain (e.g. 1,0.75,0.5)")
-	whatIf := fs.Bool("whatif", false, "include kernel counterfactuals (2x GEMM/attention/comm, operator fusion)")
-	top := fs.Int("top", 10, "print only the K best-ranked scenarios (0 = all)")
+	var req server.SweepRequest
+	sweepFlags(fs, &req)
 	workers := fs.Int("workers", 0, "sweep worker pool size (0 = auto)")
 	cacheDir := fs.String("cache-dir", "", "disk-backed scenario cache shared across runs (empty = in-memory only)")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON of the campaign (open in Perfetto / chrome://tracing)")
@@ -405,70 +409,9 @@ func cmdSweep(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	tps, err := parseIntList(*tpRange)
+	scenarios, err := req.Scenarios(base)
 	if err != nil {
 		return err
-	}
-	if tps == nil {
-		tps = []int{base.Map.TP}
-	}
-	pps, err := parseIntList(*ppRange)
-	if err != nil {
-		return err
-	}
-	if pps == nil {
-		pps = []int{base.Map.PP}
-	}
-	dps, err := parseIntList(*dpRange)
-	if err != nil {
-		return err
-	}
-	if dps == nil {
-		dps = []int{base.Map.DP}
-	}
-
-	scenarios := []lumos.Scenario{lumos.BaselineScenario()}
-	scenarios = append(scenarios, lumos.GridSweep(base.Arch, tps, pps, dps)...)
-	if *archList != "" {
-		for _, name := range strings.Split(*archList, ",") {
-			arch, err := archByName(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			scenarios = append(scenarios, lumos.ArchScenario(arch))
-		}
-	}
-	if *schedList != "" {
-		specs, err := parseScheduleList(*schedList)
-		if err != nil {
-			return err
-		}
-		scenarios = append(scenarios, lumos.ScheduleSweep(specs)...)
-	}
-	if *fabricList != "" || *degradeList != "" {
-		var fabrics []lumos.Fabric
-		if *fabricList != "" {
-			for _, name := range strings.Split(*fabricList, ",") {
-				f, err := fabricByName(name, base.Map.WorldSize())
-				if err != nil {
-					return err
-				}
-				fabrics = append(fabrics, f)
-			}
-		}
-		factors, err := parseFloatList(*degradeList)
-		if err != nil {
-			return err
-		}
-		scenarios = append(scenarios, lumos.FabricSweep(fabrics, factors)...)
-	}
-	if *whatIf {
-		scenarios = append(scenarios,
-			lumos.ClassScaleScenario(lumos.KCGEMM, 0.5),
-			lumos.ClassScaleScenario(lumos.KCAttention, 0.5),
-			lumos.ClassScaleScenario(lumos.KCComm, 0.5),
-			lumos.FusionScenario(),
-		)
 	}
 
 	tracer, tkOpts := traceOptions(*traceOut, toolkitOptions(*workers, *seed, *cacheDir))
@@ -502,14 +445,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 	fmt.Printf("base iteration %.1fms; %d scenarios evaluated in %v (profile-once, shared calibration)\n\n",
 		analysis.Millis(sweep.Base.Iteration), len(sweep.Results), time.Since(t0).Round(time.Millisecond))
 
-	results := sweep.Results
-	if *top > 0 {
-		ranked := sweep.Top(*top)
-		// Keep infeasible points visible below the cut so campaigns over
-		// mixed grids explain themselves.
-		infeasible := results[len(results)-countInfeasible(results):]
-		results = append(append([]lumos.ScenarioResult{}, ranked...), infeasible...)
-	}
+	results := req.Cut(sweep)
 	fmt.Printf("%4s  %-24s %-13s %6s %12s %9s %9s  %s\n",
 		"rank", "scenario", "kind", "gpus", "pred/iter", "speedup", "Δcost", "notes")
 	rank := 1
@@ -634,21 +570,8 @@ func cmdPlan(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("plan", flag.ExitOnError)
 	mdl, tp, pp, dp, mb, seed := deployFlags(fs)
 	in := fs.String("in", "", "profiled trace directory of the base config (empty = profile now)")
-	tpRange := fs.String("tp-range", "", "comma-separated TP grid (default: base TP; other TPs are out of manipulation scope)")
-	ppRange := fs.String("pp-range", "", "comma-separated PP grid (default: base PP)")
-	dpRange := fs.String("dp-range", "", "comma-separated DP grid (default: base DP)")
-	mbRange := fs.String("mb-range", "", "comma-separated microbatch grid (default: base -mb)")
-	schedList := fs.String("schedule", "", "comma-separated pipeline schedules to search over (1f1b|gpipe|interleaved[V]|zb-h1; default: the base schedule)")
-	fabricList := fs.String("fabric", "", "comma-separated fabric presets to search over (flat|nvl72|spine[N]; default: the profiled fabric)")
-	degradeList := fs.String("degrade", "", "comma-separated network bandwidth factors beyond the NVLink domain (e.g. 1,0.75,0.5)")
-	strategy := fs.String("strategy", "auto", "search strategy: auto|exhaustive|beam|halving|bnb")
-	beam := fs.Int("beam", 8, "beam width for -strategy beam")
-	eta := fs.Int("eta", 3, "promotion rate for -strategy halving")
-	batch := fs.Int("batch", 0, "simulation batch size for -strategy bnb (0 = default)")
-	budget := fs.Int("budget", 0, "max points promoted to full simulation (0 = no cap)")
-	gpuMem := fs.Float64("gpu-mem-gib", 80, "device memory capacity in GiB for the feasibility model")
-	zero := fs.Int("zero", 0, "ZeRO sharding stage for the memory model: 0 (none), 1 (optimizer), 2 (+gradients)")
-	top := fs.Int("top", 10, "print only the K best dominated points (0 = all)")
+	var req server.PlanRequest
+	planFlags(fs, &req)
 	workers := fs.Int("workers", 0, "sweep worker pool size (0 = auto)")
 	cacheDir := fs.String("cache-dir", "", "disk-backed scenario cache shared across runs (empty = in-memory only)")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON of the search (pipeline spans + per-round search events; open in Perfetto)")
@@ -660,77 +583,14 @@ func cmdPlan(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	var space lumos.Space
-	if space.TP, err = parseIntList(*tpRange); err != nil {
+	space, err := req.Space(base)
+	if err != nil {
 		return err
 	}
-	if space.PP, err = parseIntList(*ppRange); err != nil {
+	opts, err := req.Options()
+	if err != nil {
 		return err
 	}
-	if space.DP, err = parseIntList(*dpRange); err != nil {
-		return err
-	}
-	if space.Microbatch, err = parseIntList(*mbRange); err != nil {
-		return err
-	}
-	if space.Schedules, err = parseScheduleList(*schedList); err != nil {
-		return err
-	}
-	if *fabricList != "" {
-		// Size presets for the largest world the space can reach.
-		maxWorld := base.Map.WorldSize()
-		space.ForEach(base, func(p lumos.PlanPoint) bool {
-			if w := p.World(); w > maxWorld {
-				maxWorld = w
-			}
-			return true
-		})
-		for _, name := range strings.Split(*fabricList, ",") {
-			f, err := fabricByName(name, maxWorld)
-			if err != nil {
-				return err
-			}
-			space.Fabrics = append(space.Fabrics, f)
-		}
-	}
-	if *degradeList != "" {
-		factors, err := parseFloatList(*degradeList)
-		if err != nil {
-			return err
-		}
-		for _, f := range factors {
-			space.Degrade = append(space.Degrade, lumos.NetworkDegradeFactors(f))
-		}
-	}
-
-	var opts []lumos.PlanOption
-	switch strings.ToLower(*strategy) {
-	case "auto", "":
-	case "exhaustive":
-		opts = append(opts, lumos.WithPlanStrategy(lumos.ExhaustiveStrategy()))
-	case "beam":
-		opts = append(opts, lumos.WithPlanStrategy(lumos.BeamStrategy(*beam)))
-	case "halving":
-		opts = append(opts, lumos.WithPlanStrategy(lumos.HalvingStrategy(*eta)))
-	case "bnb":
-		opts = append(opts, lumos.WithPlanStrategy(lumos.BranchAndBoundStrategy(*batch)))
-	default:
-		return fmt.Errorf("unknown strategy %q (want auto|exhaustive|beam|halving|bnb)", *strategy)
-	}
-	if *budget > 0 {
-		opts = append(opts, lumos.WithPlanBudget(*budget))
-	}
-	if *zero < 0 || *zero > 2 {
-		return fmt.Errorf("bad -zero %d (want 0 none, 1 optimizer states, 2 +gradients)", *zero)
-	}
-	if !(*gpuMem > 0) {
-		return fmt.Errorf("bad -gpu-mem-gib %g (want a positive capacity)", *gpuMem)
-	}
-	mem := lumos.MemoryModel{
-		GPUMemBytes: int64(*gpuMem * (1 << 30)),
-		ZeRO:        lumos.ZeROStage(*zero),
-	}
-	opts = append(opts, lumos.WithMemoryModel(mem))
 	var explain *lumos.PlanExplain
 	if *explainOut != "" {
 		explain = &lumos.PlanExplain{}
@@ -790,8 +650,8 @@ func cmdPlan(ctx context.Context, args []string) error {
 		printPlanPoint(i+1, e)
 	}
 	dominated := res.Dominated
-	if *top > 0 && len(dominated) > *top {
-		dominated = dominated[:*top]
+	if req.Top > 0 && len(dominated) > req.Top {
+		dominated = dominated[:req.Top]
 	}
 	if len(dominated) > 0 {
 		fmt.Printf("\ndominated (%d total, ranked):\n", len(res.Dominated))
@@ -842,16 +702,6 @@ func writeExplain(e *lumos.PlanExplain, path string) error {
 func printPlanHeader() {
 	fmt.Printf("%4s  %-28s %6s %12s %9s %10s  %12s\n",
 		"rank", "point", "gpus", "pred/iter", "speedup", "mem", "bound")
-}
-
-func countInfeasible(results []lumos.ScenarioResult) int {
-	n := 0
-	for _, r := range results {
-		if !r.Feasible() {
-			n++
-		}
-	}
-	return n
 }
 
 // cmdTrace dispatches the trace-analysis subcommands; "top" is the only

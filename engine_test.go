@@ -86,7 +86,7 @@ func TestEngineEquivalencePlan(t *testing.T) {
 		t.Helper()
 		tk := New(WithSeed(42), WithConcurrency(4), WithReplayEngine(k))
 		res, err := tk.Plan(ctx, base, planSpace(),
-			WithPlanStrategy(BranchAndBoundStrategy(0)), WithMemoryModel(mem))
+			WithPlanStrategy(BranchAndBoundStrategy()), WithMemoryModel(mem))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestPlanDeterminismAcrossWorkers(t *testing.T) {
 		t.Helper()
 		tk := New(WithSeed(42), WithConcurrency(workers), WithScenarioCache(false))
 		res, err := tk.Plan(ctx, base, planSpace(),
-			WithPlanStrategy(BranchAndBoundStrategy(0)), WithMemoryModel(mem))
+			WithPlanStrategy(BranchAndBoundStrategy()), WithMemoryModel(mem))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,9 @@
-// Deployment planning: the guided-search entry points. Toolkit.Plan sits
+// Deployment planning: the plan-search entry points. Toolkit.Plan sits
 // the planner subsystem on top of the sweep engine — the planner decides
 // *which* points of a parallelism × microbatch × fabric space deserve full
 // graph simulation (memory pre-filter, analytic bounds, search strategy),
 // and each promoted point is evaluated as a scenario against the shared
-// campaign BaseState, so re-visited points hit the scenario cache and the
+// campaign BaseState, so repeated points hit the scenario cache and the
 // whole search is deterministic at any worker count.
 package core
 
@@ -105,8 +105,8 @@ type planScenario struct {
 func (s *planScenario) Name() string { return s.cand.Point.Key() }
 
 // Fingerprint keys the scenario by the point's canonical identity, so
-// successive-halving re-visits (and overlapping strategies on one campaign
-// state) are served from the scenario cache.
+// repeated and overlapping plans on one campaign state are served from the
+// scenario cache.
 func (s *planScenario) Fingerprint(*BaseState) (string, bool) {
 	return "plan|" + s.cand.Point.Key(), true
 }
@@ -202,12 +202,13 @@ func (s *planScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult, e
 	return res, nil
 }
 
-// Plan profiles the base deployment once and runs the guided deployment
-// search over the space: analytic memory and cost bounds prune and rank the
-// candidates, the strategy (exhaustive, beam, successive halving — see
-// planner) promotes survivors to full graph simulation on the sweep engine,
-// and the result carries the Pareto frontier over (iteration time, GPU
-// count, peak memory) with ranked dominated points retained.
+// Plan profiles the base deployment once and runs the deployment search
+// over the space: analytic memory and cost bounds prune and rank the
+// candidates, the strategy (branch-and-bound by default, exhaustive as the
+// reference — see planner) promotes survivors to full graph simulation on
+// the sweep engine, and the result carries the Pareto frontier over
+// (iteration time, GPU count, peak memory) with ranked dominated points
+// retained.
 func (tk *Toolkit) Plan(ctx context.Context, base parallel.Config, space planner.Space, opts ...planner.Option) (*planner.Result, error) {
 	st, err := tk.Prepare(ctx, base, tk.opts.Seed)
 	if err != nil {

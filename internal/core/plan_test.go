@@ -48,31 +48,35 @@ func TestPlanStrategiesAgreeWithExhaustive(t *testing.T) {
 		t.Fatalf("exhaustive simulated %d of %d", ex.Stats.Simulated, ex.Stats.Feasible)
 	}
 
-	for _, strat := range []planner.Strategy{planner.Beam{Width: 4}, planner.SuccessiveHalving{}, planner.BranchAndBound{}} {
+	for _, strat := range []planner.Strategy{planner.Exhaustive{}, planner.BranchAndBound{}, nil} {
 		res, err := tk.PlanState(ctx, st, planSpace(),
 			planner.WithStrategy(strat), planner.WithMemModel(roomyMem()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.Simulated >= ex.Stats.Simulated {
+		if strat == nil && res.Strategy != "bnb" {
+			t.Fatalf("default strategy reported %q, want bnb", res.Strategy)
+		}
+		if res.Strategy != "exhaustive" && res.Stats.Simulated >= ex.Stats.Simulated {
 			t.Fatalf("%s simulated %d, want fewer than exhaustive's %d",
-				strat.Name(), res.Stats.Simulated, ex.Stats.Simulated)
+				res.Strategy, res.Stats.Simulated, ex.Stats.Simulated)
 		}
 		best, ok := res.Best()
 		if !ok {
-			t.Fatalf("%s found nothing", strat.Name())
+			t.Fatalf("%s found nothing", res.Strategy)
 		}
 		if best.Point.Key() != exBest.Point.Key() || best.Iteration != exBest.Iteration {
 			t.Fatalf("%s best %s (%v) != exhaustive best %s (%v)",
-				strat.Name(), best.Point.Key(), best.Iteration, exBest.Point.Key(), exBest.Iteration)
+				res.Strategy, best.Point.Key(), best.Iteration, exBest.Point.Key(), exBest.Iteration)
 		}
 	}
 }
 
-// TestPlanHalvingHitsScenarioCache asserts the successive-halving rounds
-// re-visit survivors through the campaign's scenario cache: re-visits must
-// be memo hits, not fresh predictions.
-func TestPlanHalvingHitsScenarioCache(t *testing.T) {
+// TestPlanRepeatHitsScenarioCache asserts a repeated plan on one campaign
+// state is served by the scenario cache: a second default (bnb) plan over
+// the same space must hit the memo for every point it simulates and add
+// no memo entries.
+func TestPlanRepeatHitsScenarioCache(t *testing.T) {
 	ctx := context.Background()
 	tk := New(WithConcurrency(4))
 	base := testConfig(t)
@@ -80,36 +84,37 @@ func TestPlanHalvingHitsScenarioCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tk.PlanState(ctx, st, planSpace(),
-		planner.WithStrategy(planner.SuccessiveHalving{}), planner.WithMemModel(roomyMem()))
-	if err != nil {
-		t.Fatal(err)
+	run := func() *planner.Result {
+		t.Helper()
+		res, err := tk.PlanState(ctx, st, planSpace(), planner.WithMemModel(roomyMem()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if res.Stats.SimRequests <= res.Stats.Simulated {
-		t.Fatalf("halving issued %d requests over %d unique points — no re-visits",
-			res.Stats.SimRequests, res.Stats.Simulated)
+	first := run()
+	hits0, entries0 := st.MemoStats()
+	second := run()
+	hits1, entries1 := st.MemoStats()
+	if second.Stats.Simulated == 0 || !reflect.DeepEqual(first.Stats, second.Stats) {
+		t.Fatalf("repeat plan stats differ: %+v vs %+v", first.Stats, second.Stats)
 	}
-	hits, entries := st.MemoStats()
-	if hits == 0 {
-		t.Fatal("successive-halving re-visits did not hit the scenario cache")
+	if got, want := hits1-hits0, int64(second.Stats.SimRequests); got != want {
+		t.Fatalf("repeat plan hit the memo %d times for %d requests", got, want)
 	}
-	if want := int64(res.Stats.Simulated); entries < want {
-		t.Fatalf("cache entries %d, want >= %d", entries, want)
-	}
-	if got, want := int64(res.Stats.SimRequests-res.Stats.Simulated), hits; got != want {
-		t.Fatalf("re-visits %d != memo hits %d", got, want)
+	if entries1 != entries0 {
+		t.Fatalf("repeat plan grew the memo from %d to %d entries", entries0, entries1)
 	}
 }
 
-// TestPlanDeterministicAcrossWorkers asserts bit-identical plan results at
-// WithConcurrency(1) and WithConcurrency(8).
+// TestPlanDeterministicAcrossWorkers asserts bit-identical default-strategy
+// plan results at WithConcurrency(1) and WithConcurrency(8).
 func TestPlanDeterministicAcrossWorkers(t *testing.T) {
 	base := testConfig(t)
 	run := func(workers int) *planner.Result {
 		t.Helper()
 		tk := New(WithConcurrency(workers), WithSeed(42))
-		res, err := tk.Plan(context.Background(), base, planSpace(),
-			planner.WithStrategy(planner.SuccessiveHalving{}), planner.WithMemModel(roomyMem()))
+		res, err := tk.Plan(context.Background(), base, planSpace(), planner.WithMemModel(roomyMem()))
 		if err != nil {
 			t.Fatal(err)
 		}

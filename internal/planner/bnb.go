@@ -21,119 +21,24 @@ import (
 	"context"
 	"sort"
 
-	"lumos/internal/obs"
-	"lumos/internal/parallel"
 	"lumos/internal/schedule"
 	"lumos/internal/topology"
 	"lumos/internal/trace"
 )
 
-// BranchAndBound is the exact bound-first strategy. Unlike Beam and
-// SuccessiveHalving it is not a heuristic: it returns the same best point
-// as Exhaustive while simulating only the points whose admissible lower
-// bound does not exceed the running incumbent.
-type BranchAndBound struct {
-	// Batch is how many queue heads are promoted per simulation round —
-	// the concurrency the sweep engine's worker pool sees. Zero selects 4.
-	Batch int
-}
+// BranchAndBound is the exact bound-first strategy and the planner's
+// default: it returns the same best point as Exhaustive while simulating
+// only the points whose admissible lower bound does not exceed the running
+// incumbent.
+type BranchAndBound struct{}
+
+// bnbBatch is how many queue heads are promoted per simulation round — the
+// concurrency the sweep engine's worker pool sees (tie groups may widen a
+// round past it).
+const bnbBatch = 4
 
 // Name implements Strategy.
 func (BranchAndBound) Name() string { return "bnb" }
-
-func (b BranchAndBound) batch() int {
-	if b.Batch > 0 {
-		return b.Batch
-	}
-	return 4
-}
-
-// Search implements Strategy over a pre-expanded candidate list: promote
-// in bound order, batch by batch, and stop as soon as the next bound
-// exceeds the incumbent. Plan dispatches BranchAndBound through the lazy
-// searchSpace path instead, where whole subtrees prune without expansion;
-// this entry point serves direct callers holding materialized candidates.
-func (b BranchAndBound) Search(ctx context.Context, cands []Candidate, budget int, sim Simulate) ([]Evaluated, error) {
-	pool := sortByBound(cands)
-	if budget > 0 && len(pool) > budget {
-		pool = pool[:budget]
-	}
-	var evaluated []Evaluated
-	var incumbent trace.Dur
-	have := false
-	for len(pool) > 0 {
-		if have && pool[0].Bound > incumbent {
-			break
-		}
-		take := b.batch()
-		if take > len(pool) {
-			take = len(pool)
-		}
-		if have {
-			for j := 1; j < take; j++ {
-				if pool[j].Bound > incumbent {
-					take = j
-					break
-				}
-			}
-		}
-		batch := pool[:take]
-		pool = pool[take:]
-		outs, err := sim(ctx, batch)
-		if err != nil {
-			return nil, err
-		}
-		es := zip(batch, outs)
-		evaluated = append(evaluated, es...)
-		for _, e := range es {
-			if e.Err == "" && (!have || e.Iteration < incumbent) {
-				incumbent, have = e.Iteration, true
-			}
-		}
-	}
-	return evaluated, nil
-}
-
-// spaceSearch is the engine context a space-aware strategy searches in:
-// the lazily expandable space, the bounder, the metered simulator, and
-// the shared stats/rejection sinks.
-type spaceSearch struct {
-	base    parallel.Config
-	space   Space
-	bounder *Bounder
-	budget  int
-	sim     Simulate
-	stats   *Stats
-	// retain records an analytically rejected candidate (capped upstream).
-	retain func(Candidate)
-	// tracer, when non-nil, receives per-round pop/prune instant events on
-	// the "search" category (the metered simulator adds the simulate ones).
-	tracer *obs.Tracer
-	// explain, when non-nil, collects per-subtree prune records (the
-	// metered simulator collects the per-point simulation records).
-	explain *Explain
-}
-
-// spaceStrategy is implemented by strategies that search the space
-// directly — expanding it lazily and updating Stats themselves — instead
-// of receiving a materialized candidate list.
-type spaceStrategy interface {
-	Strategy
-	searchSpace(ctx context.Context, s *spaceSearch) ([]Evaluated, error)
-}
-
-// classify books one examined-and-rejected point into the stats tables.
-func (s *spaceSearch) classify(c Candidate) {
-	switch {
-	case c.OOM:
-		s.stats.MemRejected++
-	case c.BadSchedule:
-		s.stats.ScheduleRejected++
-	default:
-		s.stats.ScopeRejected++
-	}
-	s.retain(c)
-}
 
 // bnbNode is one (PP, DP, schedule, fabric, degrade) subtree holding the
 // microbatch axis lazily. Because the bound is monotone nondecreasing in
@@ -194,11 +99,10 @@ func (h *nodeHeap) Pop() any {
 	return x
 }
 
-// searchSpace implements spaceStrategy: lazy tree expansion with
-// best-bound-first promotion. Out-of-scope TP slices and unknown schedule
+// search runs lazy tree expansion with best-bound-first promotion. Out-of-scope TP slices and unknown schedule
 // names are rejected in bulk — counted analytically, one representative
 // candidate retained — without expanding a single point.
-func (b BranchAndBound) searchSpace(ctx context.Context, s *spaceSearch) ([]Evaluated, error) {
+func (BranchAndBound) search(ctx context.Context, s *spaceSearch) ([]Evaluated, error) {
 	r := s.space.withBase(s.base)
 	s.stats.SpaceSize = s.space.Size(s.base)
 	perTP := len(r.PP) * len(r.DP) * len(r.Microbatch) * len(r.Schedules) * len(r.Fabrics) * len(r.Degrade)
@@ -277,7 +181,7 @@ func (b BranchAndBound) searchSpace(ctx context.Context, s *spaceSearch) ([]Eval
 			// tie group in one round hands the sweep worker pool a wider
 			// batch; the batch composition is fixed before any simulation
 			// runs, so results stay identical at any worker count.
-			if len(batch) >= b.batch() && top.cur.Bound != batch[len(batch)-1].Bound {
+			if len(batch) >= bnbBatch && top.cur.Bound != batch[len(batch)-1].Bound {
 				break
 			}
 			n := heap.Pop(h).(*bnbNode)

@@ -1,11 +1,9 @@
 package planner
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
-	"lumos/internal/topology"
 	"lumos/internal/trace"
 )
 
@@ -111,43 +109,5 @@ func TestBranchAndBoundRespectsBudget(t *testing.T) {
 	}
 	if _, ok := res.Best(); !ok {
 		t.Fatal("budgeted bnb returned no best")
-	}
-}
-
-// TestBranchAndBoundPlainSearch covers the Strategy entry point over a
-// materialized candidate list (direct callers bypassing Plan's lazy
-// space dispatch): bound-ordered promotion stops at the incumbent.
-func TestBranchAndBoundPlainSearch(t *testing.T) {
-	base := baseCfg(t)
-	bounder := NewBounder(base, topology.H100Cluster(64), nil, Options{}.Mem)
-	var cands []Candidate
-	space().ForEach(base, func(p Point) bool {
-		if c := bounder.Candidate(p); c.Infeasible == "" {
-			cands = append(cands, c)
-		}
-		return true
-	})
-	if len(cands) < 6 {
-		t.Fatalf("too few feasible candidates: %d", len(cands))
-	}
-	sim := admissibleSim()
-	es, err := BranchAndBound{Batch: 2}.Search(context.Background(), cands, 0, sim.fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(es) == 0 || len(es) >= len(cands) {
-		t.Fatalf("plain search evaluated %d of %d — must stop early at the incumbent", len(es), len(cands))
-	}
-	rankEvaluated(es)
-	// The evaluated best must be the global best: every unevaluated
-	// candidate's bound exceeds it.
-	bestKeys := map[string]bool{}
-	for _, e := range es {
-		bestKeys[e.Point.Key()] = true
-	}
-	for _, c := range cands {
-		if !bestKeys[c.Point.Key()] && c.Bound <= es[0].Iteration {
-			t.Fatalf("unevaluated %s bound %v could beat incumbent %v", c.Point.Key(), c.Bound, es[0].Iteration)
-		}
 	}
 }

@@ -1,31 +1,30 @@
-// Package planner is the deployment-search subsystem: guided exploration
-// of the joint parallelism × microbatch × fabric space on top of the sweep
+// Package planner is the deployment-search subsystem: exact search of the
+// joint parallelism × microbatch × fabric space on top of the sweep
 // engine. The layering is analytic-bounds-before-simulation: a declarative
 // Space expands lazily, every point passes through the memcost
-// feasibility model and a roofline + collective-pricer cost bound, and a
-// pluggable search strategy (exhaustive, beam, successive halving) decides
-// which survivors are promoted to full graph simulation. The result is
-// multi-objective: the Pareto frontier over (iteration time, GPU count,
-// peak memory), with ranked dominated points retained.
+// feasibility model and a roofline + collective-pricer cost bound, and the
+// search strategy — branch-and-bound by default, exhaustive as the
+// reference — decides which survivors are promoted to full graph
+// simulation. The result is multi-objective: the Pareto frontier over
+// (iteration time, GPU count, peak memory), with ranked dominated points
+// retained.
 //
 // The planner owns no simulator: callers hand it a Simulate callback
 // (internal/core binds it to scenario evaluation against a shared
 // BaseState), which keeps the search logic deterministic at any worker
-// count — candidate ordering, exploration draws (seeded rng) and
-// promotion decisions all happen single-threaded here, and only the
-// embarrassingly parallel point evaluations fan out.
+// count — candidate ordering and promotion decisions happen
+// single-threaded here, and only the embarrassingly parallel point
+// evaluations fan out.
 package planner
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"lumos/internal/collective"
 	"lumos/internal/memcost"
 	"lumos/internal/obs"
 	"lumos/internal/parallel"
-	"lumos/internal/rng"
 	"lumos/internal/topology"
 	"lumos/internal/trace"
 )
@@ -45,8 +44,8 @@ type Outcome struct {
 // Simulate promotes a batch of candidates to full graph simulation and
 // returns one outcome per candidate, in order. Implementations must be
 // deterministic functions of the candidate set (worker-count independent)
-// and are expected to memoize: strategies deliberately re-submit survivors
-// across rounds.
+// and are expected to memoize: repeated plans over one campaign re-submit
+// the points they share.
 type Simulate func(ctx context.Context, cands []Candidate) ([]Outcome, error)
 
 // Evaluated is a candidate with its simulation outcome.
@@ -59,297 +58,87 @@ type Evaluated struct {
 }
 
 // Strategy decides which feasible candidates are promoted to simulation.
-// Implementations receive the candidates in deterministic space order and
-// must themselves be deterministic; budget > 0 caps the number of unique
-// points they may promote.
+// The set is sealed: Exhaustive is the reference and BranchAndBound the
+// exact default. Both must be deterministic; a budget > 0 caps the number
+// of unique points they promote.
 type Strategy interface {
 	// Name labels the strategy in results and benchmark output.
 	Name() string
-	// Search runs the strategy and returns every evaluated candidate.
-	Search(ctx context.Context, cands []Candidate, budget int, sim Simulate) ([]Evaluated, error)
+	// search expands the space, books rejections into the shared stats and
+	// returns every evaluated candidate.
+	search(ctx context.Context, s *spaceSearch) ([]Evaluated, error)
 }
 
-// sortByBound orders candidates by analytic bound, point key breaking ties,
-// and returns a fresh slice.
-func sortByBound(cands []Candidate) []Candidate {
-	out := make([]Candidate, len(cands))
-	copy(out, cands)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Bound != out[j].Bound {
-			return out[i].Bound < out[j].Bound
-		}
-		return out[i].Point.Key() < out[j].Point.Key()
-	})
-	return out
+// spaceSearch is the engine context a strategy searches in: the lazily
+// expandable space, the bounder, the metered simulator, and the shared
+// stats/rejection sinks.
+type spaceSearch struct {
+	base    parallel.Config
+	space   Space
+	bounder *Bounder
+	budget  int
+	sim     Simulate
+	stats   *Stats
+	// retain records an analytically rejected candidate (capped upstream).
+	retain func(Candidate)
+	// tracer, when non-nil, receives per-round pop/prune instant events on
+	// the "search" category (the metered simulator adds the simulate ones).
+	tracer *obs.Tracer
+	// explain, when non-nil, collects per-subtree prune records (the
+	// metered simulator collects the per-point simulation records).
+	explain *Explain
 }
 
-// ceilDiv is ceiling division for positive ints.
-func ceilDiv(x, d int) int {
-	if d < 1 {
-		return x
+// classify books one examined-and-rejected point into the stats tables.
+func (s *spaceSearch) classify(c Candidate) {
+	switch {
+	case c.OOM:
+		s.stats.MemRejected++
+	case c.BadSchedule:
+		s.stats.ScheduleRejected++
+	default:
+		s.stats.ScopeRejected++
 	}
-	return (x + d - 1) / d
-}
-
-// frontierPicks drafts up to k frontier-coverage extras: candidates from
-// pool (bound order preserved) that nothing already picked analytically
-// dominates on the objectives the final frontier ranks — cost bound, GPU
-// count, peak memory. Ranking cohorts on the bound alone culls
-// memory-cheap or small-world points that would have survived the
-// multi-objective split; these picks are their insurance. Returns the
-// picks and the un-picked remainder of pool.
-func frontierPicks(picked, pool []Candidate, k int) (picks, rest []Candidate) {
-	for _, c := range pool {
-		if len(picks) >= k {
-			rest = append(rest, c)
-			continue
-		}
-		dominated := false
-		for _, lists := range [2][]Candidate{picked, picks} {
-			for _, p := range lists {
-				if p.Bound <= c.Bound && p.Point.World() <= c.Point.World() && p.Mem.Total() <= c.Mem.Total() {
-					dominated = true
-					break
-				}
-			}
-			if dominated {
-				break
-			}
-		}
-		if dominated {
-			rest = append(rest, c)
-		} else {
-			picks = append(picks, c)
-		}
-	}
-	return picks, rest
+	s.retain(c)
 }
 
 // --- Exhaustive -------------------------------------------------------------
 
-// Exhaustive simulates every feasible candidate (bound-ranked truncation
-// under a budget). The reference strategy for small spaces, and the quality
-// yardstick the guided strategies are measured against.
+// Exhaustive expands the whole space, pre-filters every point, and
+// simulates every feasible candidate in bound order (bound-ranked
+// truncation under a budget). The reference strategy: BranchAndBound is
+// checked against it.
 type Exhaustive struct{}
 
 // Name implements Strategy.
 func (Exhaustive) Name() string { return "exhaustive" }
 
-// Search implements Strategy.
-func (Exhaustive) Search(ctx context.Context, cands []Candidate, budget int, sim Simulate) ([]Evaluated, error) {
-	pool := sortByBound(cands)
-	if budget > 0 && len(pool) > budget {
-		pool = pool[:budget]
+func (Exhaustive) search(ctx context.Context, s *spaceSearch) ([]Evaluated, error) {
+	var pool []Candidate
+	s.space.ForEach(s.base, func(p Point) bool {
+		s.stats.SpaceSize++
+		if c := s.bounder.Candidate(p); c.Infeasible != "" {
+			s.classify(c)
+		} else {
+			pool = append(pool, c)
+		}
+		return true
+	})
+	s.stats.Feasible = len(pool)
+	sort.SliceStable(pool, func(i, j int) bool {
+		if pool[i].Bound != pool[j].Bound {
+			return pool[i].Bound < pool[j].Bound
+		}
+		return pool[i].Point.Key() < pool[j].Point.Key()
+	})
+	if s.budget > 0 && len(pool) > s.budget {
+		pool = pool[:s.budget]
 	}
-	outs, err := sim(ctx, pool)
+	outs, err := s.sim(ctx, pool)
 	if err != nil {
 		return nil, err
 	}
 	return zip(pool, outs), nil
-}
-
-// --- Beam -------------------------------------------------------------------
-
-// Beam promotes only the Width most promising candidates by analytic
-// bound, plus up to Width/4 frontier-coverage extras no beam member
-// analytically dominates on (bound, GPU count, memory) — one simulation
-// batch, bounded cost regardless of space size.
-type Beam struct {
-	// Width is the beam size. Zero selects 8.
-	Width int
-}
-
-// Name implements Strategy.
-func (b Beam) Name() string { return fmt.Sprintf("beam%d", b.width()) }
-
-func (b Beam) width() int {
-	if b.Width > 0 {
-		return b.Width
-	}
-	return 8
-}
-
-// Search implements Strategy.
-func (b Beam) Search(ctx context.Context, cands []Candidate, budget int, sim Simulate) ([]Evaluated, error) {
-	pool := sortByBound(cands)
-	w := b.width()
-	if w > len(pool) {
-		w = len(pool)
-	}
-	if budget > 0 && w > budget {
-		w = budget
-	}
-	batch := append([]Candidate{}, pool[:w]...)
-	extra := ceilDiv(w, 4)
-	if budget > 0 && extra > budget-w {
-		extra = budget - w
-	}
-	if extra > 0 {
-		picks, _ := frontierPicks(batch, pool[w:], extra)
-		batch = append(batch, picks...)
-	}
-	outs, err := sim(ctx, batch)
-	if err != nil {
-		return nil, err
-	}
-	return zip(batch, outs), nil
-}
-
-// --- Successive halving -----------------------------------------------------
-
-// SuccessiveHalving races bound-ranked cohorts through simulation: round r
-// promotes the next 1/Eta slice of the remaining pool (plus a seeded
-// exploration draw from deeper in the ranking, guarding against
-// analytic-bound bias), evaluates it together with the current survivors —
-// whose re-visits hit the sweep engine's scenario cache — and keeps the
-// top 1/Eta by measured iteration time. Total simulations converge to
-// roughly N/(Eta-1) of an exhaustive pass.
-type SuccessiveHalving struct {
-	// Eta is the cohort/promotion rate. Zero selects 3; values below 2
-	// are clamped to 2.
-	Eta int
-	// Explore is the fraction of each cohort drawn uniformly (seeded) from
-	// the rest of the pool instead of strictly by bound. Zero selects
-	// 0.25; negative disables exploration.
-	Explore float64
-	// Seed drives the exploration draws. Zero selects 1.
-	Seed uint64
-}
-
-// Name implements Strategy.
-func (s SuccessiveHalving) Name() string { return fmt.Sprintf("halving%d", s.eta()) }
-
-func (s SuccessiveHalving) eta() int {
-	switch {
-	case s.Eta <= 0:
-		return 3
-	case s.Eta < 2:
-		return 2
-	}
-	return s.Eta
-}
-
-func (s SuccessiveHalving) explore() float64 {
-	if s.Explore == 0 {
-		return 0.25
-	}
-	if s.Explore < 0 {
-		return 0
-	}
-	return s.Explore
-}
-
-// Search implements Strategy.
-func (s SuccessiveHalving) Search(ctx context.Context, cands []Candidate, budget int, sim Simulate) ([]Evaluated, error) {
-	remaining := sortByBound(cands)
-	n := len(remaining)
-	if n == 0 {
-		return nil, nil
-	}
-	eta := s.eta()
-	draw := rng.New(s.seed())
-
-	evaluated := map[string]Evaluated{}
-	var order []string // insertion order, so output is deterministic
-	var survivors []Candidate
-	promoted := 0
-
-	cohort := ceilDiv(n, eta)
-	for len(remaining) > 0 {
-		take := cohort
-		if take > len(remaining) {
-			take = len(remaining)
-		}
-		if budget > 0 {
-			if left := budget - promoted; take > left {
-				take = left
-			}
-		}
-		if take < 1 {
-			break
-		}
-		batch, rest := s.draft(remaining, take, draw)
-		// Frontier-coverage insurance: promote deeper-ranked points no
-		// cohort member analytically dominates on (bound, GPU count,
-		// memory), so memory-cheap schedules survive the bound-only cull.
-		extra := ceilDiv(len(batch), 4)
-		if budget > 0 {
-			if left := budget - promoted - len(batch); extra > left {
-				extra = left
-			}
-		}
-		if extra > 0 {
-			var picks []Candidate
-			picks, rest = frontierPicks(batch, rest, extra)
-			batch = append(batch, picks...)
-		}
-		remaining = rest
-		promoted += len(batch)
-
-		full := append(append([]Candidate{}, survivors...), batch...)
-		outs, err := sim(ctx, full)
-		if err != nil {
-			return nil, err
-		}
-		ranked := zip(full, outs)
-		for _, e := range ranked {
-			k := e.Point.Key()
-			if _, seen := evaluated[k]; !seen {
-				order = append(order, k)
-			}
-			evaluated[k] = e
-		}
-		rankEvaluated(ranked)
-		keep := ceilDiv(len(ranked), eta)
-		survivors = survivors[:0]
-		for _, e := range ranked {
-			if e.Err == "" && len(survivors) < keep {
-				survivors = append(survivors, e.Candidate)
-			}
-		}
-		next := ceilDiv(cohort, eta)
-		if next >= cohort {
-			// The cohort can no longer halve: the race has converged.
-			break
-		}
-		cohort = next
-	}
-
-	out := make([]Evaluated, 0, len(order))
-	for _, k := range order {
-		out = append(out, evaluated[k])
-	}
-	return out, nil
-}
-
-func (s SuccessiveHalving) seed() uint64 {
-	if s.Seed == 0 {
-		return 1
-	}
-	return s.Seed
-}
-
-// draft selects the round's cohort — mostly the best remaining bounds,
-// plus seeded exploration draws from deeper in the ranking — and returns
-// it alongside the unpicked remainder, whose bound-sorted order is
-// preserved for later rounds.
-func (s SuccessiveHalving) draft(pool []Candidate, take int, draw *rng.Source) (batch, rest []Candidate) {
-	if take > len(pool) {
-		take = len(pool)
-	}
-	explore := int(float64(take) * s.explore())
-	if explore >= take {
-		explore = take - 1
-	}
-	exploit := take - explore
-	batch = append(batch, pool[:exploit]...)
-	rest = append(rest, pool[exploit:]...)
-	for i := 0; i < explore && len(rest) > 0; i++ {
-		j := draw.Intn(len(rest))
-		batch = append(batch, rest[j])
-		rest = append(rest[:j], rest[j+1:]...)
-	}
-	return batch, rest
 }
 
 // zip pairs candidates with their outcomes.
@@ -386,8 +175,7 @@ func rankEvaluated(es []Evaluated) {
 
 // Options configures a plan run.
 type Options struct {
-	// Strategy selects the search. Nil picks Exhaustive for small
-	// candidate sets and SuccessiveHalving beyond AutoThreshold.
+	// Strategy selects the search. Nil selects BranchAndBound.
 	Strategy Strategy
 	// Budget caps the number of unique points promoted to simulation;
 	// 0 means no cap.
@@ -496,10 +284,6 @@ func WithTracer(t *obs.Tracer) Option { return func(o *Options) { o.Tracer = t }
 // incumbent. A nil e (the default) disables capture.
 func WithExplain(e *Explain) Option { return func(o *Options) { o.Explain = e } }
 
-// AutoThreshold is the feasible-candidate count up to which the nil
-// strategy stays exhaustive.
-const AutoThreshold = 24
-
 // Stats reports how the search spent its effort.
 type Stats struct {
 	// SpaceSize is the full expansion of the space.
@@ -558,7 +342,7 @@ func (r *Result) Best() (Evaluated, bool) {
 	return r.Frontier[0], true
 }
 
-// Plan runs the guided search: expand the space lazily, pre-filter with
+// Plan runs the search: expand the space lazily, pre-filter with
 // the memory model and analytic bounds, let the strategy promote survivors
 // to the Simulate callback, and assemble the Pareto frontier.
 func Plan(ctx context.Context, base parallel.Config, space Space,
@@ -644,53 +428,17 @@ func Plan(ctx context.Context, base parallel.Config, space Space,
 		return outs, err
 	}
 
-	var evaluated []Evaluated
-	var err error
 	strat := o.Strategy
-	if ss, ok := strat.(spaceStrategy); ok {
-		// Space-aware strategies expand lazily and keep the rejection and
-		// pruning tables themselves — the space is never materialized here.
-		evaluated, err = ss.searchSpace(ctx, &spaceSearch{
-			base: base, space: space, bounder: bounder,
-			budget: o.Budget, sim: metered, stats: &stats, retain: retain,
-			tracer: o.Tracer, explain: o.Explain,
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		var feasible []Candidate
-		space.ForEach(base, func(p Point) bool {
-			stats.SpaceSize++
-			c := bounder.Candidate(p)
-			if c.Infeasible == "" {
-				feasible = append(feasible, c)
-				return true
-			}
-			switch {
-			case c.OOM:
-				stats.MemRejected++
-			case c.BadSchedule:
-				stats.ScheduleRejected++
-			default:
-				stats.ScopeRejected++
-			}
-			retain(c)
-			return true
-		})
-		stats.Feasible = len(feasible)
-
-		if strat == nil {
-			if len(feasible) <= AutoThreshold {
-				strat = Exhaustive{}
-			} else {
-				strat = SuccessiveHalving{}
-			}
-		}
-		evaluated, err = strat.Search(ctx, feasible, o.Budget, metered)
-		if err != nil {
-			return nil, err
-		}
+	if strat == nil {
+		strat = BranchAndBound{}
+	}
+	evaluated, err := strat.search(ctx, &spaceSearch{
+		base: base, space: space, bounder: bounder,
+		budget: o.Budget, sim: metered, stats: &stats, retain: retain,
+		tracer: o.Tracer, explain: o.Explain,
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	var ok []Evaluated

@@ -185,69 +185,21 @@ func TestBudgetCapsSimulations(t *testing.T) {
 	if res.Stats.Simulated != 5 {
 		t.Fatalf("budget 5, simulated %d", res.Stats.Simulated)
 	}
-	sim2 := newFakeSim()
-	res2 := plan(t, base, space(), sim2, WithStrategy(SuccessiveHalving{}), WithBudget(5))
-	if res2.Stats.Simulated > 5 {
-		t.Fatalf("halving exceeded budget: %d", res2.Stats.Simulated)
-	}
-}
-
-func TestGuidedStrategiesSimulateFewerAndAgreeOnBest(t *testing.T) {
-	base := baseCfg(t)
-
-	exSim := newFakeSim()
-	ex := plan(t, base, space(), exSim, WithStrategy(Exhaustive{}))
-	exBest, ok := ex.Best()
-	if !ok {
-		t.Fatal("no exhaustive best")
-	}
-
-	for _, strat := range []Strategy{Beam{Width: 6}, SuccessiveHalving{}} {
-		sim := newFakeSim()
-		res := plan(t, base, space(), sim, WithStrategy(strat))
-		if res.Stats.Simulated >= ex.Stats.Simulated {
-			t.Fatalf("%s simulated %d, not fewer than exhaustive's %d",
-				strat.Name(), res.Stats.Simulated, ex.Stats.Simulated)
-		}
-		best, ok := res.Best()
-		if !ok {
-			t.Fatalf("%s: no best", strat.Name())
-		}
-		if best.Point.Key() != exBest.Point.Key() {
-			t.Fatalf("%s best %s != exhaustive best %s", strat.Name(), best.Point.Key(), exBest.Point.Key())
-		}
-	}
-}
-
-func TestSuccessiveHalvingRevisitsSurvivors(t *testing.T) {
-	base := baseCfg(t)
-	sim := newFakeSim()
-	res := plan(t, base, space(), sim, WithStrategy(SuccessiveHalving{}))
-	if res.Stats.SimRequests <= res.Stats.Simulated {
-		t.Fatalf("halving must re-submit survivors (requests %d, unique %d)",
-			res.Stats.SimRequests, res.Stats.Simulated)
-	}
-	if res.Stats.Rounds < 2 {
-		t.Fatalf("halving ran %d rounds, want >= 2", res.Stats.Rounds)
-	}
-	revisited := 0
-	for _, n := range sim.unique {
-		if n > 1 {
-			revisited++
-		}
-	}
-	if revisited == 0 {
-		t.Fatal("no point was re-submitted across rounds")
-	}
 }
 
 func TestPlanDeterminism(t *testing.T) {
 	base := baseCfg(t)
-	for _, strat := range []Strategy{Exhaustive{}, Beam{}, SuccessiveHalving{}} {
-		a := plan(t, base, space(), newFakeSim(), WithStrategy(strat))
-		b := plan(t, base, space(), newFakeSim(), WithStrategy(strat))
+	for _, tc := range []struct {
+		strat Strategy
+		want  string
+	}{{Exhaustive{}, "exhaustive"}, {BranchAndBound{}, "bnb"}, {nil, "bnb"}} {
+		a := plan(t, base, space(), newFakeSim(), WithStrategy(tc.strat))
+		b := plan(t, base, space(), newFakeSim(), WithStrategy(tc.strat))
+		if a.Strategy != tc.want {
+			t.Fatalf("strategy %v reported %q, want %q", tc.strat, a.Strategy, tc.want)
+		}
 		if !reflect.DeepEqual(a.Stats, b.Stats) {
-			t.Fatalf("%s stats differ: %+v vs %+v", strat.Name(), a.Stats, b.Stats)
+			t.Fatalf("%s stats differ: %+v vs %+v", a.Strategy, a.Stats, b.Stats)
 		}
 		keysOf := func(es []Evaluated) []string {
 			out := make([]string, len(es))
@@ -258,7 +210,7 @@ func TestPlanDeterminism(t *testing.T) {
 		}
 		if !reflect.DeepEqual(keysOf(a.Frontier), keysOf(b.Frontier)) ||
 			!reflect.DeepEqual(keysOf(a.Dominated), keysOf(b.Dominated)) {
-			t.Fatalf("%s result order differs across runs", strat.Name())
+			t.Fatalf("%s result order differs across runs", a.Strategy)
 		}
 	}
 }

@@ -1,9 +1,10 @@
-// Wire types and campaign builders for the lumosd HTTP API. The request
-// schemas mirror the `lumos sweep` / `lumos plan` CLI flags one-for-one
-// (same preset names, same defaulting, same menus in error messages), and
-// the builders reuse the exact façade constructors the CLI calls — so a
-// campaign posted to lumosd is byte-identical to the same campaign run
-// in-process.
+// Wire types and campaign builders for the lumosd HTTP API. SweepRequest
+// and PlanRequest are also the request parser of the `lumos sweep` and
+// `lumos plan` CLI commands: the CLI fills them from its flags and calls
+// the same exported builders (Scenarios, Cut, Space, Options) the handlers
+// call, so both surfaces accept the same preset names, apply the same
+// defaults, reject bad input with the same errors, and a campaign posted
+// to lumosd is byte-identical to the same campaign run in-process.
 package server
 
 import (
@@ -14,8 +15,8 @@ import (
 )
 
 // Deployment names the base deployment a profile was (or will be)
-// collected under. Zero values default like the CLI: model "15b",
-// tp/pp/dp 1, microbatches 8.
+// collected under. Zero values default to model "15b", tp/pp/dp 1 and 8
+// microbatches (the CLI's deployment flags default to tp 2, pp 2, dp 4).
 type Deployment struct {
 	Model        string `json:"model,omitempty"`
 	TP           int    `json:"tp,omitempty"`
@@ -105,10 +106,10 @@ type ProfileList struct {
 	Profiles []ProfileInfo `json:"profiles"`
 }
 
-// SweepRequest runs a scenario campaign against a registered profile. The
-// fields mirror `lumos sweep`: grid ranges default to the base degrees,
-// fabrics/schedules are preset names, Degrade holds network bandwidth
-// factors, WhatIf adds the kernel counterfactuals.
+// SweepRequest runs a scenario campaign against a registered profile; the
+// `lumos sweep` flags fill the same fields. Grid ranges default to the
+// base degrees, fabrics/schedules are preset names, Degrade holds network
+// bandwidth factors, WhatIf adds the kernel counterfactuals.
 type SweepRequest struct {
 	Profile   string    `json:"profile"`
 	TPRange   []int     `json:"tp_range,omitempty"`
@@ -128,8 +129,10 @@ type SweepRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// scenarios assembles the campaign exactly like cmdSweep does.
-func (req *SweepRequest) scenarios(base lumos.Config) ([]lumos.Scenario, error) {
+// Scenarios assembles the campaign against the base deployment: the
+// baseline, the TP×PP×DP grid, then the architecture, schedule, fabric and
+// kernel what-ifs the request names.
+func (req *SweepRequest) Scenarios(base lumos.Config) ([]lumos.Scenario, error) {
 	tps, pps, dps := req.TPRange, req.PPRange, req.DPRange
 	if len(tps) == 0 {
 		tps = []int{base.Map.TP}
@@ -178,6 +181,17 @@ func (req *SweepRequest) scenarios(base lumos.Config) ([]lumos.Scenario, error) 
 	return scenarios, nil
 }
 
+// Cut applies Top to a completed sweep: the Top best-ranked feasible
+// results, with every infeasible point kept visible below the cut so
+// campaigns over mixed grids explain themselves. Top 0 keeps everything.
+func (req *SweepRequest) Cut(sweep *lumos.SweepResult) []lumos.ScenarioResult {
+	if req.Top <= 0 {
+		return sweep.Results
+	}
+	feasible := len(sweep.Top(len(sweep.Results)))
+	return append(append([]lumos.ScenarioResult{}, sweep.Top(req.Top)...), sweep.Results[feasible:]...)
+}
+
 // ScenarioResult is one ranked sweep outcome.
 type ScenarioResult struct {
 	Rank            int     `json:"rank,omitempty"`
@@ -206,8 +220,8 @@ type SweepResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// PlanRequest runs the deployment planner against a registered profile,
-// mirroring `lumos plan`.
+// PlanRequest runs the deployment planner against a registered profile;
+// the `lumos plan` flags fill the same fields.
 type PlanRequest struct {
 	Profile   string    `json:"profile"`
 	TPRange   []int     `json:"tp_range,omitempty"`
@@ -217,13 +231,14 @@ type PlanRequest struct {
 	Schedules []string  `json:"schedules,omitempty"`
 	Fabrics   []string  `json:"fabrics,omitempty"`
 	Degrade   []float64 `json:"degrade,omitempty"`
-	Strategy  string    `json:"strategy,omitempty"` // auto|exhaustive|beam|halving|bnb
-	Beam      int       `json:"beam,omitempty"`
-	Eta       int       `json:"eta,omitempty"`
-	Batch     int       `json:"batch,omitempty"` // bnb simulation batch size (0 = default)
-	Budget    int       `json:"budget,omitempty"`
-	GPUMemGiB float64   `json:"gpu_mem_gib,omitempty"`
-	ZeRO      int       `json:"zero,omitempty"`
+	// Strategy is auto|exhaustive|bnb, case-insensitive; empty and auto
+	// select bnb.
+	Strategy string `json:"strategy,omitempty"`
+	// Budget caps the points promoted to simulation. 0 = no cap.
+	Budget int `json:"budget,omitempty"`
+	// GPUMemGiB is the device capacity of the memory model. 0 = 80.
+	GPUMemGiB float64 `json:"gpu_mem_gib,omitempty"`
+	ZeRO      int     `json:"zero,omitempty"`
 	// Top caps the dominated list in the response. 0 = all.
 	Top int `json:"top,omitempty"`
 	// Trace forces the request's flight-recorder trace to be retained
@@ -234,9 +249,9 @@ type PlanRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// space assembles the search space exactly like cmdPlan does, sizing
+// Space assembles the search space around the base deployment, sizing
 // fabric presets for the largest world the space can reach.
-func (req *PlanRequest) space(base lumos.Config) (lumos.Space, error) {
+func (req *PlanRequest) Space(base lumos.Config) (lumos.Space, error) {
 	space := lumos.Space{
 		TP:         req.TPRange,
 		PP:         req.PPRange,
@@ -269,48 +284,39 @@ func (req *PlanRequest) space(base lumos.Config) (lumos.Space, error) {
 	return space, nil
 }
 
-// options assembles the planner options exactly like cmdPlan does.
-func (req *PlanRequest) options() ([]lumos.PlanOption, error) {
-	var opts []lumos.PlanOption
+// Options builds the planner options: search strategy, simulation budget
+// and memory-feasibility model.
+func (req *PlanRequest) Options() ([]lumos.PlanOption, error) {
+	strat := lumos.BranchAndBoundStrategy()
 	switch strings.ToLower(strings.TrimSpace(req.Strategy)) {
-	case "auto", "":
+	case "auto", "", "bnb":
 	case "exhaustive":
-		opts = append(opts, lumos.WithPlanStrategy(lumos.ExhaustiveStrategy()))
-	case "beam":
-		beam := req.Beam
-		if beam <= 0 {
-			beam = 8
-		}
-		opts = append(opts, lumos.WithPlanStrategy(lumos.BeamStrategy(beam)))
-	case "halving":
-		eta := req.Eta
-		if eta <= 0 {
-			eta = 3
-		}
-		opts = append(opts, lumos.WithPlanStrategy(lumos.HalvingStrategy(eta)))
-	case "bnb":
-		opts = append(opts, lumos.WithPlanStrategy(lumos.BranchAndBoundStrategy(req.Batch)))
+		strat = lumos.ExhaustiveStrategy()
 	default:
-		return nil, fmt.Errorf("unknown strategy %q (want auto|exhaustive|beam|halving|bnb)", req.Strategy)
+		return nil, fmt.Errorf("unknown strategy %q (want auto|exhaustive|bnb)", req.Strategy)
 	}
+	opts := []lumos.PlanOption{lumos.WithPlanStrategy(strat)}
 	if req.Budget > 0 {
 		opts = append(opts, lumos.WithPlanBudget(req.Budget))
 	}
 	if req.ZeRO < 0 || req.ZeRO > 2 {
-		return nil, fmt.Errorf("bad zero stage %d (want 0 none, 1 optimizer states, 2 +gradients)", req.ZeRO)
+		return nil, fmt.Errorf("bad ZeRO stage %d (want 0 none, 1 optimizer states, 2 +gradients)", req.ZeRO)
 	}
-	gpuMem := req.GPUMemGiB
-	if gpuMem == 0 {
-		gpuMem = 80
+	gib := req.GPUMemGiB
+	if gib == 0 {
+		gib = 80
 	}
-	if gpuMem < 0 {
-		return nil, fmt.Errorf("bad gpu_mem_gib %g (want a positive capacity)", gpuMem)
+	// The capacity must be a whole number of bytes >= 1 that fits int64:
+	// NaN, infinities and oversized values would convert to a wrapped
+	// capacity that disables the OOM pre-filter, and a size that rounds to
+	// 0 bytes would read as the memory model's default.
+	if bytes := gib * (1 << 30); !(bytes >= 1 && bytes < 1<<63) {
+		return nil, fmt.Errorf("bad GPU memory capacity %g GiB (want at least 1 byte and less than 8 EiB)", gib)
 	}
-	opts = append(opts, lumos.WithMemoryModel(lumos.MemoryModel{
-		GPUMemBytes: int64(gpuMem * (1 << 30)),
+	return append(opts, lumos.WithMemoryModel(lumos.MemoryModel{
+		GPUMemBytes: int64(gib * (1 << 30)),
 		ZeRO:        lumos.ZeROStage(req.ZeRO),
-	}))
-	return opts, nil
+	})), nil
 }
 
 // PlanPoint is one evaluated planner point.
@@ -471,7 +477,7 @@ type StatsResponse struct {
 }
 
 // scheduleNames validates a schedule list, resolving each spec so unknown
-// names fail fast with the full menu (parity with the CLI).
+// names fail fast with the full menu.
 func scheduleNames(specs []string) ([]string, error) {
 	var out []string
 	for _, s := range specs {

@@ -551,7 +551,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if p == nil {
 		return
 	}
-	scenarios, err := req.scenarios(p.cfg)
+	scenarios, err := req.Scenarios(p.cfg)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
@@ -566,19 +566,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	traceID := s.retain(tr, "sweep", p.name, http.StatusOK, t0, time.Since(t0), req.Trace, nil)
 	s.nSweeps.Inc()
 
-	results := sweep.Results
-	if req.Top > 0 {
-		ranked := sweep.Top(req.Top)
-		// Keep infeasible points visible below the cut, as the CLI does.
-		n := 0
-		for _, res := range results {
-			if !res.Feasible() {
-				n++
-			}
-		}
-		infeasible := results[len(results)-n:]
-		results = append(append([]lumos.ScenarioResult{}, ranked...), infeasible...)
-	}
+	results := req.Cut(sweep)
 	resp := SweepResponse{
 		Profile:   p.name,
 		Base:      scenarioJSON(sweep.Base, 0),
@@ -609,12 +597,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if p == nil {
 		return
 	}
-	space, err := req.space(p.cfg)
+	space, err := req.Space(p.cfg)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opts, err := req.options()
+	opts, err := req.Options()
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return

@@ -1,4 +1,4 @@
-// Deployment-planner façade: guided search over the joint parallelism ×
+// Deployment-planner façade: exact search over the joint parallelism ×
 // microbatch × fabric space with a memory-feasibility model and
 // multi-objective output.
 //
@@ -8,17 +8,19 @@
 //		PP:         []int{1, 2, 4},
 //		DP:         []int{1, 2, 4},
 //		Microbatch: []int{4, 8},
-//	}, lumos.WithPlanStrategy(lumos.HalvingStrategy(3)))
+//	}, lumos.WithMemoryModel(lumos.MemoryModel{ZeRO: lumos.ZeROOptimizer}))
 //	for _, p := range res.Frontier {
 //		fmt.Println(p.Point.Key(), p.Iteration, p.Mem)
 //	}
 //
 // The base is profiled once; the planner's memory model rules out
 // configurations that would OOM before simulation time is spent, analytic
-// roofline + collective-pricer bounds rank the rest, and the strategy
-// promotes only the promising points to full graph simulation on the sweep
-// engine. The result is the Pareto frontier over (iteration time, GPU
-// count, peak memory), with ranked dominated points retained.
+// roofline + collective-pricer bounds rank the rest, and the default
+// branch-and-bound strategy simulates only the points whose admissible
+// bound could still beat the incumbent. The result is the Pareto frontier
+// over (iteration time, GPU count, peak memory) of the simulated points,
+// with ranked dominated points retained; ExhaustiveStrategy simulates
+// every feasible point and so gives the full frontier.
 package lumos
 
 import (
@@ -54,7 +56,8 @@ type (
 	PlanExplainSim = planner.ExplainSim
 	// PlanExplainPrune is one pruned subtree in a PlanExplain report.
 	PlanExplainPrune = planner.ExplainPrune
-	// PlanStrategy decides which candidates are promoted to simulation.
+	// PlanStrategy decides which candidates are promoted to simulation:
+	// ExhaustiveStrategy or BranchAndBoundStrategy.
 	PlanStrategy = planner.Strategy
 	// MemoryModel is the per-GPU memory-feasibility model (capacity,
 	// reserve, optimizer bytes/param, ZeRO sharding stage).
@@ -72,30 +75,20 @@ const (
 	ZeROGradients = memcost.ZeROGradients
 )
 
-// ExhaustiveStrategy simulates every feasible point — the reference for
-// small spaces and the yardstick the guided strategies are measured
-// against.
+// ExhaustiveStrategy simulates every feasible point — the reference the
+// default branch-and-bound search is checked against, and the way to get
+// the full Pareto frontier.
 func ExhaustiveStrategy() PlanStrategy { return planner.Exhaustive{} }
 
-// BeamStrategy promotes only the width best points by analytic bound.
-// width <= 0 selects 8.
-func BeamStrategy(width int) PlanStrategy { return planner.Beam{Width: width} }
+// BranchAndBoundStrategy is exact search and the default: lazy subspace
+// expansion with admissible analytic lower bounds, a bound-ranked priority
+// queue, and wholesale pruning of subtrees that cannot beat the incumbent.
+// Returns the same best point as ExhaustiveStrategy while simulating
+// strictly fewer points.
+func BranchAndBoundStrategy() PlanStrategy { return planner.BranchAndBound{} }
 
-// HalvingStrategy races bound-ranked cohorts through simulation with
-// promotion rate eta (successive halving); survivors re-visit the scenario
-// cache. eta <= 0 selects 3.
-func HalvingStrategy(eta int) PlanStrategy { return planner.SuccessiveHalving{Eta: eta} }
-
-// BranchAndBoundStrategy is exact search at guided-search cost: lazy
-// subspace expansion with admissible analytic lower bounds, a bound-ranked
-// priority queue, and wholesale pruning of subtrees that cannot beat the
-// incumbent. Returns the same best point as ExhaustiveStrategy while
-// simulating strictly fewer points. batch sets how many bound-minimal
-// heads are simulated per round; batch <= 0 selects the default.
-func BranchAndBoundStrategy(batch int) PlanStrategy { return planner.BranchAndBound{Batch: batch} }
-
-// WithPlanStrategy selects the search strategy. The default is exhaustive
-// for small candidate sets and successive halving beyond.
+// WithPlanStrategy selects the search strategy. The default (nil) is
+// branch-and-bound.
 func WithPlanStrategy(s PlanStrategy) PlanOption { return planner.WithStrategy(s) }
 
 // WithPlanBudget caps the number of unique points promoted to full graph
