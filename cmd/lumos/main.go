@@ -513,8 +513,8 @@ func writeTrace(tr *lumos.Tracer, path string) error {
 // always prints, available on sweeps under -v.
 func printCounterSummary(st *lumos.BaseState) {
 	cs := st.CacheStats()
-	fmt.Printf("\nreplay engine: %d programs compiled, %d compiled runs, %d interpreted runs\n",
-		cs.CompiledPrograms, cs.CompiledRuns, cs.InterpretedRuns)
+	fmt.Printf("\nreplay engine: %d programs compiled, %d compiled runs\n",
+		cs.CompiledPrograms, cs.CompiledRuns)
 	fmt.Printf("scenario cache: %d memo hits (%d entries), %d disk hits, %d disk misses\n",
 		cs.MemoHits, cs.MemoEntries, cs.DiskHits, cs.DiskMisses)
 }
@@ -632,8 +632,8 @@ func cmdPlan(ctx context.Context, args []string) error {
 	fmt.Printf("simulated %d unique points (%d re-timed a shared graph) in %d rounds (%d requests, %d served by the scenario cache) in %v\n",
 		s.Simulated, s.SharedStructure, s.Rounds, s.SimRequests, s.SimRequests-s.Simulated, time.Since(t0).Round(time.Millisecond))
 	cs := st.CacheStats()
-	fmt.Printf("replay engine: %d programs compiled, %d compiled runs, %d interpreted runs\n\n",
-		cs.CompiledPrograms, cs.CompiledRuns, cs.InterpretedRuns)
+	fmt.Printf("replay engine: %d programs compiled, %d compiled runs\n\n",
+		cs.CompiledPrograms, cs.CompiledRuns)
 
 	printPlanPoint := func(rank int, e lumos.PlanEvaluated) {
 		speedup := 0.0

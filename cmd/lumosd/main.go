@@ -34,6 +34,26 @@ import (
 	"lumos/internal/server"
 )
 
+// Connection timeouts for both listeners. A client that never finishes
+// its request headers is cut off after readHeaderTimeout, and a keep-alive
+// connection idle for idleTimeout is closed. No read or write deadline is
+// set: trace uploads of up to 1 GiB and long plans are legitimate.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds a listener's http.Server with the connection
+// timeouts set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":8344", "listen address")
 	cacheDir := flag.String("cache-dir", "", "disk-backed scenario cache directory (empty = in-memory only)")
@@ -58,14 +78,14 @@ func main() {
 		TraceSlow: *traceSlow,
 		TraceCap:  *traceCap << 20,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv)
 
 	if *debugAddr != "" {
 		// pprof registers on http.DefaultServeMux; serve it on its own
 		// listener so profiling endpoints never share the API address.
 		go func() {
 			logger.Info("pprof listening", "addr", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
+			if err := newHTTPServer(*debugAddr, http.DefaultServeMux).ListenAndServe(); err != nil {
 				logger.Error("pprof listener", "err", err)
 			}
 		}()

@@ -6,62 +6,6 @@ import (
 	"testing"
 )
 
-// engineCampaign is a fig7/fig8-flavored campaign touching every replay
-// path the engines must agree on: the scale grid (fig7), architecture
-// variants (fig8), kernel-level what-ifs (pooled retimed replays of the
-// base graph), fusion, fabric and degrade overrides, and every pipeline
-// schedule including interleaved and zero-bubble.
-func engineCampaign(world int) []Scenario {
-	scenarios := GridSweep(GPT3_15B(), []int{2}, []int{1, 2}, []int{1, 2})
-	return append(scenarios,
-		BaselineScenario(),
-		ArchScenario(GPT3_V1()),
-		ArchScenario(GPT3_V2()),
-		ClassScaleScenario(KCGEMM, 0.5),
-		ClassScaleScenario(KCComm, 1.7),
-		FusionScenario(),
-		FabricScenario("oversub", OversubscribedFabric(world, 4)),
-		DegradeLinksScenario(0.7),
-		ScheduleScenario("1f1b"),
-		ScheduleScenario("gpipe"),
-		ScheduleScenario("interleaved2"),
-		ScheduleScenario("zb-h1"),
-	)
-}
-
-// TestEngineEquivalenceCampaign is the compiled engine's acceptance test at
-// the public API: a full campaign evaluated under the compiled engine and
-// the reference interpreter must produce bit-identical ranked results.
-func TestEngineEquivalenceCampaign(t *testing.T) {
-	ctx := context.Background()
-	base := sweepBase(t)
-
-	run := func(k EngineKind) *SweepResult {
-		t.Helper()
-		tk := New(WithSeed(42), WithConcurrency(4), WithReplayEngine(k))
-		sweep, err := tk.Evaluate(ctx, base, engineCampaign(base.Map.WorldSize())...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sweep
-	}
-	compiled := run(EngineCompiled)
-	interpreted := run(EngineInterpreted)
-	if !reflect.DeepEqual(compiled.Results, interpreted.Results) {
-		for i := range compiled.Results {
-			c, p := compiled.Results[i], interpreted.Results[i]
-			if !reflect.DeepEqual(c, p) {
-				t.Errorf("rank %d: compiled %q iter=%d vs interpreted %q iter=%d",
-					i, c.Name, c.Iteration, p.Name, p.Iteration)
-			}
-		}
-		t.Fatal("compiled and interpreted engines disagree")
-	}
-	if compiled.Base.Iteration != interpreted.Base.Iteration {
-		t.Fatalf("base point differs: %d vs %d", compiled.Base.Iteration, interpreted.Base.Iteration)
-	}
-}
-
 // planSpace is a small but heterogeneous plan space spanning schedule,
 // microbatch, and degrade axes.
 func planSpace() Space {
@@ -71,37 +15,6 @@ func planSpace() Space {
 		Microbatch: []int{4, 6, 8},
 		Schedules:  []string{"1f1b", "interleaved2", "zb-h1"},
 		Degrade:    [][]float64{nil, NetworkDegradeFactors(0.85)},
-	}
-}
-
-// TestEngineEquivalencePlan runs branch-and-bound over a mixed
-// schedule/degrade space under both engines: the evaluated points, the
-// frontier, and the best configuration must match exactly.
-func TestEngineEquivalencePlan(t *testing.T) {
-	ctx := context.Background()
-	base := sweepBase(t)
-	mem := MemoryModel{GPUMemBytes: 192 << 30, ZeRO: ZeROOptimizer}
-
-	run := func(k EngineKind) *PlanResult {
-		t.Helper()
-		tk := New(WithSeed(42), WithConcurrency(4), WithReplayEngine(k))
-		res, err := tk.Plan(ctx, base, planSpace(),
-			WithPlanStrategy(BranchAndBoundStrategy()), WithMemoryModel(mem))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	compiled := run(EngineCompiled)
-	interpreted := run(EngineInterpreted)
-	if !reflect.DeepEqual(compiled.Frontier, interpreted.Frontier) {
-		t.Fatal("compiled and interpreted plan frontiers disagree")
-	}
-	if !reflect.DeepEqual(compiled.Dominated, interpreted.Dominated) {
-		t.Fatal("compiled and interpreted plans rank dominated points differently")
-	}
-	if compiled.Stats != interpreted.Stats {
-		t.Fatalf("plan stats differ across engines: %+v vs %+v", compiled.Stats, interpreted.Stats)
 	}
 }
 
@@ -137,14 +50,14 @@ func TestPlanDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestEngineCountersSurface checks the observability contract: a compiled
-// campaign reports program lowerings and compiled runs (and no interpreted
-// runs), an interpreted one the inverse.
+// TestEngineCountersSurface checks the observability contract: a campaign
+// reports program lowerings and compiled runs, and no interpreted runs —
+// every replay runs the compiled engine.
 func TestEngineCountersSurface(t *testing.T) {
 	ctx := context.Background()
 	base := sweepBase(t)
 
-	tk := New(WithSeed(42), WithReplayEngine(EngineCompiled))
+	tk := New(WithSeed(42))
 	st, err := tk.Prepare(ctx, base, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -154,25 +67,9 @@ func TestEngineCountersSurface(t *testing.T) {
 	}
 	cs := st.CacheStats()
 	if cs.CompiledPrograms == 0 || cs.CompiledRuns == 0 {
-		t.Fatalf("compiled campaign reported no engine activity: %+v", cs)
+		t.Fatalf("campaign reported no engine activity: %+v", cs)
 	}
 	if cs.InterpretedRuns != 0 {
-		t.Fatalf("compiled campaign ran the interpreter: %+v", cs)
-	}
-
-	itk := New(WithSeed(42), WithReplayEngine(EngineInterpreted))
-	ist, err := itk.Prepare(ctx, base, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := itk.EvaluateState(ctx, ist, ClassScaleScenario(KCGEMM, 0.5)); err != nil {
-		t.Fatal(err)
-	}
-	ics := ist.CacheStats()
-	if ics.InterpretedRuns == 0 {
-		t.Fatalf("interpreted campaign reported no interpreter runs: %+v", ics)
-	}
-	if ics.CompiledRuns != 0 {
-		t.Fatalf("interpreted campaign ran the compiled engine: %+v", ics)
+		t.Fatalf("campaign reported interpreted runs: %+v", cs)
 	}
 }

@@ -102,18 +102,18 @@ func CriticalPath(g *execgraph.Graph, res *replay.Result) []PathEntry {
 // 0.5), answering the what-if questions from the paper's discussion
 // section. The retiming is a copy-on-write view — only the duration
 // columns are copied, never the task array — replayed on the given
-// engine (the interpreted Simulator or the compiled engine).
-func WhatIfScaleSim(sim replay.Engine, g *execgraph.Graph, match func(*execgraph.Task) bool, factor float64) (trace.Dur, error) {
+// compiled engine.
+func WhatIfScaleSim(eng *replay.Compiled, g *execgraph.Graph, match func(*execgraph.Task) bool, factor float64) (trace.Dur, error) {
 	v := execgraph.NewRetimed(g)
 	v.Scale(match, factor)
-	res, err := sim.RunRetimed(v)
+	res, err := eng.RunRetimed(v)
 	if err != nil {
 		return 0, err
 	}
 	return res.Makespan, nil
 }
 
-// WhatIfScale is WhatIfScaleSim on a fresh simulator.
+// WhatIfScale is WhatIfScaleSim on a fresh compiled engine.
 func WhatIfScale(g *execgraph.Graph, match func(*execgraph.Task) bool, factor float64) (trace.Dur, error) {
-	return WhatIfScaleSim(replay.NewSimulator(replay.DefaultOptions()), g, match, factor)
+	return WhatIfScaleSim(replay.NewCompiled(replay.DefaultOptions()), g, match, factor)
 }

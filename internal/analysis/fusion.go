@@ -107,14 +107,14 @@ func ApplyFusion(v *execgraph.Retimed, opts FusionOpts) (fusedGroups, kernelsRem
 
 // WhatIfFusionSim estimates the end-to-end effect of fusing consecutive
 // eligible kernels, replaying a retimed view of the graph on the given
-// engine (interpreted or compiled). baseline is the unfused iteration time
-// (typically already known from the campaign's base replay, so it is not
-// recomputed here).
-func WhatIfFusionSim(sim replay.Engine, g *execgraph.Graph, opts FusionOpts, baseline trace.Dur) (FusionReport, error) {
+// compiled engine. baseline is the unfused iteration time (typically
+// already known from the campaign's base replay, so it is not recomputed
+// here).
+func WhatIfFusionSim(eng *replay.Compiled, g *execgraph.Graph, opts FusionOpts, baseline trace.Dur) (FusionReport, error) {
 	rep := FusionReport{Baseline: baseline}
 	v := execgraph.NewRetimed(g)
 	rep.FusedGroups, rep.KernelsRemoved = ApplyFusion(v, opts)
-	res, err := sim.RunRetimed(v)
+	res, err := eng.RunRetimed(v)
 	if err != nil {
 		return rep, err
 	}
@@ -123,12 +123,13 @@ func WhatIfFusionSim(sim replay.Engine, g *execgraph.Graph, opts FusionOpts, bas
 }
 
 // WhatIfFusion is the one-shot form: it replays the baseline itself on a
-// fresh simulator, then the fused counterfactual.
+// fresh compiled engine, then the fused counterfactual on the same
+// program.
 func WhatIfFusion(g *execgraph.Graph, opts FusionOpts) (FusionReport, error) {
-	sim := replay.NewSimulator(replay.DefaultOptions())
-	base, err := sim.Run(g)
+	eng := replay.NewCompiled(replay.DefaultOptions())
+	base, err := eng.Run(g)
 	if err != nil {
 		return FusionReport{}, err
 	}
-	return WhatIfFusionSim(sim, g, opts, base.Makespan)
+	return WhatIfFusionSim(eng, g, opts, base.Makespan)
 }

@@ -14,8 +14,8 @@ import (
 // so the merged run's cost reflects the already-scaled kernels.
 func TestScaleAndFusionCompose(t *testing.T) {
 	g := fusionGraph(t)
-	sim := replay.NewSimulator(replay.DefaultOptions())
-	base, err := sim.Run(g)
+	eng := replay.NewCompiled(replay.DefaultOptions())
+	base, err := eng.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestScaleAndFusionCompose(t *testing.T) {
 	if groups == 0 || removed == 0 {
 		t.Fatalf("no fusion opportunities found (%d groups, %d removed)", groups, removed)
 	}
-	fusedOnly, err := sim.RunRetimed(vFuse)
+	fusedOnly, err := eng.RunRetimed(vFuse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestScaleAndFusionCompose(t *testing.T) {
 	if g2 != groups || r2 != removed {
 		t.Fatalf("fusion structure changed under composition: %d/%d vs %d/%d", g2, r2, groups, removed)
 	}
-	both, err := sim.RunRetimed(vBoth)
+	both, err := eng.RunRetimed(vBoth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestScaleAndFusionCompose(t *testing.T) {
 	}
 
 	// The graph's recorded durations survive all of it.
-	after, err := sim.Run(g)
+	after, err := eng.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,20 +64,20 @@ func TestScaleAndFusionCompose(t *testing.T) {
 	}
 }
 
-// TestWhatIfFusionSimAgreesWithOneShot pins the pooled-simulator fusion
-// path to the one-shot reference implementation.
+// TestWhatIfFusionSimAgreesWithOneShot pins the pooled-engine fusion path
+// (a caller-supplied engine and baseline) to the one-shot form.
 func TestWhatIfFusionSimAgreesWithOneShot(t *testing.T) {
 	g := fusionGraph(t)
 	ref, err := WhatIfFusion(g, DefaultFusionOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := replay.NewSimulator(replay.DefaultOptions())
-	base, err := sim.Run(g)
+	eng := replay.NewCompiled(replay.DefaultOptions())
+	base, err := eng.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := WhatIfFusionSim(sim, g, DefaultFusionOpts(), base.Makespan)
+	got, err := WhatIfFusionSim(eng, g, DefaultFusionOpts(), base.Makespan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,37 +71,11 @@ type Options struct {
 	// CacheCap is the disk cache eviction size cap in bytes; <= 0 selects
 	// the scache default.
 	CacheCap int64
-	// Engine selects the replay engine (see WithReplayEngine). The zero
-	// value is the compiled engine.
-	Engine EngineKind
 	// Tracer, when non-nil, records pipeline spans (prepare, calibrate,
 	// sweep, per-scenario synthesize/compile/retime/replay) and cache
 	// events for Chrome-trace export (see WithTracer). Nil — the default —
 	// disables tracing with zero overhead.
 	Tracer *obs.Tracer
-}
-
-// EngineKind selects which replay engine campaigns simulate with. The two
-// engines are bit-identical on every graph (enforced by equivalence tests);
-// they differ only in cost per run.
-type EngineKind int
-
-const (
-	// EngineCompiled lowers each graph once into a structure-of-arrays
-	// program (CSR edges, dense resource lanes) executed on pooled
-	// zero-alloc scratch state. The default.
-	EngineCompiled EngineKind = iota
-	// EngineInterpreted is the reference Algorithm 1 interpreter,
-	// retained for cross-checking the compiled engine.
-	EngineInterpreted
-)
-
-// String names the engine for stats and CLI output.
-func (k EngineKind) String() string {
-	if k == EngineInterpreted {
-		return "interpreted"
-	}
-	return "compiled"
 }
 
 // Option configures a Toolkit.
@@ -137,14 +111,6 @@ func WithGraphOptions(g execgraph.BuildOptions) Option {
 // WithReplayOptions overrides simulation options.
 func WithReplayOptions(r replay.Options) Option {
 	return func(o *Options) { o.Replay = &r }
-}
-
-// WithReplayEngine selects the replay engine: the compiled
-// structure-of-arrays engine (the default) or the reference interpreter.
-// Predictions are bit-identical under either; the interpreter exists to
-// cross-check the compiled engine and as a debugging baseline.
-func WithReplayEngine(k EngineKind) Option {
-	return func(o *Options) { o.Engine = k }
 }
 
 // WithConcurrency bounds the number of scenarios evaluated in parallel
@@ -187,15 +153,14 @@ type Toolkit struct {
 	profiles      atomic.Int64
 	libraryBuilds atomic.Int64
 
-	// simPool recycles replay engines (with their preallocated per-task
-	// scratch state) across sweep workers and what-if calls; the pooled
-	// kind follows opts.Engine.
-	simPool sync.Pool
+	// enginePool recycles compiled replay engines (with their preallocated
+	// per-task scratch state) across sweep workers and what-if calls.
+	enginePool sync.Pool
 	// timingsPool recycles flat duration columns for compiled retimed runs
 	// (one buffer pair per in-flight planner point).
 	timingsPool sync.Pool
 	// engineMeter aggregates replay-engine activity (programs compiled,
-	// runs per engine) across every pooled engine and campaign state.
+	// runs) across every pooled engine and campaign state.
 	engineMeter replay.Counters
 
 	// workersBusy and queueDepth are live worker-pool occupancy gauges:
@@ -222,22 +187,17 @@ func New(opts ...Option) *Toolkit {
 }
 
 // acquireEngine takes a pooled replay engine (allocating on first use).
-func (tk *Toolkit) acquireEngine() replay.Engine {
-	if e, ok := tk.simPool.Get().(replay.Engine); ok {
+func (tk *Toolkit) acquireEngine() *replay.Compiled {
+	if e, ok := tk.enginePool.Get().(*replay.Compiled); ok {
 		return e
 	}
-	if tk.opts.Engine == EngineInterpreted {
-		s := replay.NewSimulator(tk.replayOpts())
-		s.Meter(&tk.engineMeter)
-		return s
-	}
-	c := replay.NewCompiled(tk.replayOpts())
-	c.Meter(&tk.engineMeter)
-	return c
+	e := replay.NewCompiled(tk.replayOpts())
+	e.Meter(&tk.engineMeter)
+	return e
 }
 
 // releaseEngine returns an engine to the pool.
-func (tk *Toolkit) releaseEngine(e replay.Engine) { tk.simPool.Put(e) }
+func (tk *Toolkit) releaseEngine(e *replay.Compiled) { tk.enginePool.Put(e) }
 
 // timingsBuf is a pooled pair of flat duration columns for a compiled
 // retimed run: seeded with the program's recorded durations, selectively
@@ -273,11 +233,9 @@ func (tk *Toolkit) acquireTimings(prog *replay.Program) *timingsBuf {
 func (tk *Toolkit) releaseTimings(buf *timingsBuf) { tk.timingsPool.Put(buf) }
 
 // EngineStats reports replay-engine activity across every campaign on this
-// toolkit: graph lowerings performed, and simulations run per engine.
-func (tk *Toolkit) EngineStats() (compiledPrograms, compiledRuns, interpretedRuns int64) {
-	return tk.engineMeter.CompiledPrograms.Load(),
-		tk.engineMeter.CompiledRuns.Load(),
-		tk.engineMeter.InterpretedRuns.Load()
+// toolkit: graph lowerings performed, and simulations run.
+func (tk *Toolkit) EngineStats() (programs, runs int64) {
+	return tk.engineMeter.CompiledPrograms.Load(), tk.engineMeter.CompiledRuns.Load()
 }
 
 // Counters reports how many ground-truth profiles and kernel-library
@@ -331,14 +289,13 @@ func (tk *Toolkit) RegisterMetrics(r *obs.Registry) {
 		return
 	}
 	r.Collect(func() []obs.Sample {
-		compiled, compiledRuns, interpretedRuns := tk.EngineStats()
+		compiled, compiledRuns := tk.EngineStats()
 		profiles, calibrations := tk.Counters()
 		samples := []obs.Sample{
 			{Name: "lumos_profiles_total", Kind: obs.KindCounter, Help: "Ground-truth profiling runs performed.", Value: float64(profiles)},
 			{Name: "lumos_calibrations_total", Kind: obs.KindCounter, Help: "Kernel-library calibrations performed (disk-cache hits skip these).", Value: float64(calibrations)},
 			{Name: "lumos_engine_compiled_programs_total", Kind: obs.KindCounter, Help: "Graphs lowered into compiled replay programs.", Value: float64(compiled)},
 			{Name: "lumos_engine_runs_total", Labels: obs.RenderLabels("engine", "compiled"), Kind: obs.KindCounter, Help: "Replay simulations per engine.", Value: float64(compiledRuns)},
-			{Name: "lumos_engine_runs_total", Labels: obs.RenderLabels("engine", "interpreted"), Kind: obs.KindCounter, Help: "Replay simulations per engine.", Value: float64(interpretedRuns)},
 			{Name: "lumos_sweep_workers_busy", Kind: obs.KindGauge, Help: "Sweep worker-pool occupancy: scenarios being evaluated right now.", Value: float64(tk.workersBusy.Load())},
 			{Name: "lumos_sweep_queue_depth", Kind: obs.KindGauge, Help: "Scenarios dispatched to the sweep worker pool but not yet picked up.", Value: float64(tk.queueDepth.Load())},
 		}
@@ -575,29 +532,29 @@ func (tk *Toolkit) calibrate(req manip.Request, profiled *trace.Multi) (*manip.L
 
 // WhatIfScale estimates the makespan if kernels matched by the predicate
 // ran at the given duration factor (Section 5's what-if analysis), using a
-// copy-on-write retiming of the graph on a pooled simulator.
+// copy-on-write retiming of the graph on a pooled compiled engine.
 func (tk *Toolkit) WhatIfScale(ctx context.Context, g *execgraph.Graph, match func(*execgraph.Task) bool, factor float64) (trace.Dur, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	sim := tk.acquireEngine()
-	defer tk.releaseEngine(sim)
-	return analysis.WhatIfScaleSim(sim, g, match, factor)
+	eng := tk.acquireEngine()
+	defer tk.releaseEngine(eng)
+	return analysis.WhatIfScaleSim(eng, g, match, factor)
 }
 
 // WhatIfFusion estimates the benefit of fusing consecutive eligible
-// kernels (Section 3.4's motivating example) on a pooled simulator.
+// kernels (Section 3.4's motivating example) on a pooled compiled engine.
 func (tk *Toolkit) WhatIfFusion(ctx context.Context, g *execgraph.Graph, opts analysis.FusionOpts) (analysis.FusionReport, error) {
 	if err := ctx.Err(); err != nil {
 		return analysis.FusionReport{}, err
 	}
-	sim := tk.acquireEngine()
-	defer tk.releaseEngine(sim)
-	base, err := sim.Run(g)
+	eng := tk.acquireEngine()
+	defer tk.releaseEngine(eng)
+	base, err := eng.Run(g)
 	if err != nil {
 		return analysis.FusionReport{}, err
 	}
-	return analysis.WhatIfFusionSim(sim, g, opts, base.Makespan)
+	return analysis.WhatIfFusionSim(eng, g, opts, base.Makespan)
 }
 
 // SaveTraces writes per-rank Kineto-style JSON files (rank_<N>.json) into

@@ -41,20 +41,26 @@ type structEntry struct {
 // building both at most once per structural key. sp, when non-nil, parents
 // a "compile" span attributed to whichever scenario lowers first.
 func (e *structEntry) compiled(b *BaseState, sp *obs.Span) (*replay.Program, *manip.CommRetimePlan) {
-	e.progOnce.Do(func() {
-		csp := sp.Child("compile")
-		defer csp.End()
-		var basePricer collective.Pricer
-		if b.Fabric != nil {
-			basePricer = b.pricerFor(b.Fabric)
-		}
-		e.prog = replay.Compile(e.out.Graph, b.replayOpts())
-		e.plan = manip.NewCommRetimePlan(e.out.Graph, b.Library, basePricer)
-		if b.tk != nil {
-			b.tk.engineMeter.CompiledPrograms.Add(1)
-		}
-	})
+	e.progOnce.Do(func() { e.prog, e.plan = b.compileRetime(e.out.Graph, sp) })
 	return e.prog, e.plan
+}
+
+// compileRetime lowers a synthesized graph for the replay engine together
+// with its fabric-independent comm retime plan, counting one compiled
+// program. sp, when non-nil, parents the "compile" span.
+func (b *BaseState) compileRetime(g *execgraph.Graph, sp *obs.Span) (*replay.Program, *manip.CommRetimePlan) {
+	csp := sp.Child("compile")
+	defer csp.End()
+	var basePricer collective.Pricer
+	if b.Fabric != nil {
+		basePricer = b.pricerFor(b.Fabric)
+	}
+	prog := replay.Compile(g, b.replayOpts())
+	plan := manip.NewCommRetimePlan(g, b.Library, basePricer)
+	if b.tk != nil {
+		b.tk.engineMeter.CompiledPrograms.Add(1)
+	}
+	return prog, plan
 }
 
 // structCacheCap bounds how many synthesized graphs a campaign state keeps
@@ -156,40 +162,30 @@ func (s *planScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult, e
 		res.Err = err.Error()
 		return res, nil
 	}
-	pricer := b.pricerFor(f)
+	// Re-time the program's flat duration columns (pooled buffers seeded
+	// with the recorded durations) via the comm plan, and run on a pooled
+	// engine's scratch — no view, no maps, no per-point graph walk. Past
+	// structCacheCap the point synthesized a private graph; it is lowered
+	// the same way, for this point only.
 	var (
-		rres     *replay.Result
-		repriced int
+		prog *replay.Program
+		plan *manip.CommRetimePlan
 	)
-	eng := b.acquireEngine()
-	if c, ok := eng.(*replay.Compiled); ok && entry != nil {
-		// Compiled fast path: re-time the shared program's flat duration
-		// columns (pooled buffers seeded with the recorded durations) via
-		// the precomputed comm plan, and run on the engine's scratch — no
-		// view, no maps, no per-point graph walk.
-		prog, plan := entry.compiled(b, sp)
-		buf := b.acquireTimings(prog)
-		tsp := sp.Child("retime")
-		repriced = plan.Retime(buf.dur, buf.gdur, pricer)
-		tsp.End()
-		rsp := sp.Child("replay")
-		rres, err = c.RunProgram(prog, replay.Timings{Dur: buf.dur, GroupDur: buf.gdur})
-		rsp.End()
-		b.releaseTimings(buf)
+	if entry != nil {
+		prog, plan = entry.compiled(b, sp)
 	} else {
-		var basePricer collective.Pricer
-		if b.Fabric != nil {
-			basePricer = b.pricerFor(b.Fabric)
-		}
-		v := execgraph.NewRetimed(out.Graph)
-		tsp := sp.Child("retime")
-		repriced = manip.RetimeCommOnFabric(v, b.Library, pricer, basePricer)
-		tsp.End()
-		rsp := sp.Child("replay")
-		rres, err = eng.RunRetimed(v)
-		rsp.End()
+		prog, plan = b.compileRetime(out.Graph, sp)
 	}
+	buf := b.acquireTimings(prog)
+	tsp := sp.Child("retime")
+	repriced := plan.Retime(buf.dur, buf.gdur, b.pricerFor(f))
+	tsp.End()
+	eng := b.acquireEngine()
+	rsp := sp.Child("replay")
+	rres, err := eng.RunProgram(prog, replay.Timings{Dur: buf.dur, GroupDur: buf.gdur})
+	rsp.End()
 	b.releaseEngine(eng)
+	b.releaseTimings(buf)
 	if err != nil {
 		res.Err = err.Error()
 		return res, nil

@@ -218,6 +218,64 @@ func TestPlanSharedStructureRetime(t *testing.T) {
 	}
 }
 
+// TestPlanStructCacheOverflow covers the path past structCacheCap: with the
+// structural cache full, every degraded point synthesizes and lowers a
+// private graph, and must predict bit-identically to the same plan with
+// sharing on, counting SharedStructure the same way. Each overflowed
+// point costs exactly one compiled program and one compiled run.
+func TestPlanStructCacheOverflow(t *testing.T) {
+	ctx := context.Background()
+	space := planner.Space{
+		PP:      []int{1, 2},
+		Degrade: [][]float64{nil, {0.5}, {0.25}},
+	}
+	run := func(overflow bool) (*planner.Result, int64, int64) {
+		t.Helper()
+		tk := New(WithConcurrency(4))
+		st, err := tk.Prepare(ctx, testConfig(t), 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if overflow {
+			st.structCount.Store(structCacheCap)
+		}
+		programs0, runs0 := tk.EngineStats()
+		res, err := tk.PlanState(ctx, st, space,
+			planner.WithStrategy(planner.Exhaustive{}), planner.WithMemModel(roomyMem()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		programs1, runs1 := tk.EngineStats()
+		if overflow && st.structCount.Load() != structCacheCap {
+			t.Fatalf("overflowed plan grew the structural cache to %d", st.structCount.Load())
+		}
+		return res, programs1 - programs0, runs1 - runs0
+	}
+	shared, sharedPrograms, sharedRuns := run(false)
+	private, privatePrograms, privateRuns := run(true)
+
+	if !reflect.DeepEqual(private.Frontier, shared.Frontier) {
+		t.Fatalf("overflow frontier differs:\n%+v\nvs shared\n%+v", private.Frontier, shared.Frontier)
+	}
+	if !reflect.DeepEqual(private.Dominated, shared.Dominated) {
+		t.Fatalf("overflow dominated points differ:\n%+v\nvs shared\n%+v", private.Dominated, shared.Dominated)
+	}
+	for _, res := range []*planner.Result{shared, private} {
+		if n := len(res.Frontier) + len(res.Dominated); n != 6 {
+			t.Fatalf("evaluated %d points, want 6", n)
+		}
+		if res.Stats.SharedStructure != 4 {
+			t.Fatalf("SharedStructure = %d, want 4 (the degraded points)", res.Stats.SharedStructure)
+		}
+	}
+	if sharedPrograms != 2 || sharedRuns != 4 {
+		t.Fatalf("shared plan: %d programs, %d runs; want 2 and 4", sharedPrograms, sharedRuns)
+	}
+	if privatePrograms != 4 || privateRuns != 4 {
+		t.Fatalf("overflowed plan: %d programs, %d runs; want 4 and 4", privatePrograms, privateRuns)
+	}
+}
+
 // TestPlanBnBDeterministicWithSharing: branch-and-bound over a space with
 // a degrade axis (stressing the shared-structure path) is bit-identical
 // at any worker count, including the sharing counters.

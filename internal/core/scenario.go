@@ -59,8 +59,8 @@ type BaseState struct {
 	// It is bound once per campaign and shared by every scenario.
 	Fabric topology.Fabric
 
-	// tk owns the simulator pool and cache policy; nil for a hand-built
-	// BaseState, in which case scenarios fall back to fresh simulators.
+	// tk owns the replay-engine pool and cache policy; nil for a hand-built
+	// BaseState, in which case scenarios fall back to fresh engines.
 	tk *Toolkit
 
 	// memo caches results of fingerprintable scenarios for the lifetime of
@@ -115,11 +115,13 @@ type CacheStats struct {
 	// DiskHits and DiskMisses count this campaign state's scenario lookups
 	// served by / absent from the disk layer.
 	DiskHits, DiskMisses int64
-	// CompiledPrograms counts graph lowerings for the compiled replay
-	// engine; CompiledRuns and InterpretedRuns count simulations per
-	// engine. The counters are toolkit-wide (shared across campaign states
-	// on one toolkit, like the Disk store).
-	CompiledPrograms, CompiledRuns, InterpretedRuns int64
+	// CompiledPrograms counts graph lowerings for the replay engine and
+	// CompiledRuns counts simulations. The counters are toolkit-wide
+	// (shared across campaign states on one toolkit, like the Disk store).
+	CompiledPrograms, CompiledRuns int64
+	// InterpretedRuns is always 0: every replay runs the compiled engine.
+	// The field stays so existing readers of the counter set keep working.
+	InterpretedRuns int64
 	// Disk reports the shared on-disk store (all campaigns and calibration
 	// entries in this process); zero when no disk cache is configured.
 	Disk scache.Stats
@@ -138,7 +140,7 @@ func (b *BaseState) CacheStats() CacheStats {
 		s.Disk = b.disk.Stats()
 	}
 	if b.tk != nil {
-		s.CompiledPrograms, s.CompiledRuns, s.InterpretedRuns = b.tk.EngineStats()
+		s.CompiledPrograms, s.CompiledRuns = b.tk.EngineStats()
 	}
 	return s
 }
@@ -183,16 +185,16 @@ func (b *BaseState) RegisterMetrics(r *obs.Registry, labelPairs ...string) {
 	})
 }
 
-// acquireEngine returns a pooled replay engine (or a fresh interpreter for
-// a hand-built BaseState); release it with releaseEngine.
-func (b *BaseState) acquireEngine() replay.Engine {
+// acquireEngine returns a pooled replay engine (or a fresh one for a
+// hand-built BaseState); release it with releaseEngine.
+func (b *BaseState) acquireEngine() *replay.Compiled {
 	if b.tk != nil {
 		return b.tk.acquireEngine()
 	}
-	return replay.NewSimulator(replay.DefaultOptions())
+	return replay.NewCompiled(replay.DefaultOptions())
 }
 
-func (b *BaseState) releaseEngine(e replay.Engine) {
+func (b *BaseState) releaseEngine(e *replay.Compiled) {
 	if b.tk != nil {
 		b.tk.releaseEngine(e)
 	}
@@ -240,13 +242,11 @@ func (b *BaseState) program() *replay.Program {
 }
 
 // engineForBase returns a pooled engine primed for the campaign's base
-// graph: a compiled engine adopts the shared base program instead of
-// lowering its own copy.
-func (b *BaseState) engineForBase() replay.Engine {
+// graph: it adopts the shared base program instead of lowering its own
+// copy.
+func (b *BaseState) engineForBase() *replay.Compiled {
 	e := b.acquireEngine()
-	if c, ok := e.(*replay.Compiled); ok {
-		c.Use(b.program())
-	}
+	e.Use(b.program())
 	return e
 }
 
@@ -454,9 +454,9 @@ func (s *kernelScaleScenario) Run(ctx context.Context, b *BaseState) (ScenarioRe
 		World:  b.Config.Map.WorldSize(),
 	}
 	rsp := obs.SpanFrom(ctx).Child("replay")
-	sim := b.engineForBase()
-	iter, err := analysis.WhatIfScaleSim(sim, b.Graph, s.match, s.factor)
-	b.releaseEngine(sim)
+	eng := b.engineForBase()
+	iter, err := analysis.WhatIfScaleSim(eng, b.Graph, s.match, s.factor)
+	b.releaseEngine(eng)
 	rsp.End()
 	if err != nil {
 		res.Err = err.Error()
@@ -505,9 +505,9 @@ func (s *fusionScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult,
 	// The unfused baseline is the campaign's replayed base point; only the
 	// fused counterfactual needs a simulation here.
 	rsp := obs.SpanFrom(ctx).Child("replay")
-	sim := b.engineForBase()
-	rep, err := analysis.WhatIfFusionSim(sim, b.Graph, s.opts, b.Iteration)
-	b.releaseEngine(sim)
+	eng := b.engineForBase()
+	rep, err := analysis.WhatIfFusionSim(eng, b.Graph, s.opts, b.Iteration)
+	b.releaseEngine(eng)
 	rsp.End()
 	if err != nil {
 		res.Err = err.Error()

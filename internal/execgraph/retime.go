@@ -26,14 +26,6 @@ type Retimed struct {
 // NewRetimed returns a view over g with no overrides.
 func NewRetimed(g *Graph) *Retimed { return &Retimed{Graph: g} }
 
-// Bind resets the view onto a (possibly different) graph, dropping all
-// overrides while keeping the override columns' capacity for reuse.
-func (v *Retimed) Bind(g *Graph) {
-	v.Graph = g
-	v.dur = v.dur[:0]
-	v.groupDur = v.groupDur[:0]
-}
-
 // Overridden reports whether any duration override has been applied.
 func (v *Retimed) Overridden() bool { return len(v.dur) > 0 }
 
@@ -64,21 +56,16 @@ func (v *Retimed) materialize() {
 	if have == n {
 		return
 	}
-	if cap(v.dur) < n {
-		dur := make([]trace.Dur, n)
-		groupDur := make([]trace.Dur, n)
-		copy(dur, v.dur)
-		copy(groupDur, v.groupDur)
-		v.dur, v.groupDur = dur, groupDur
-	} else {
-		v.dur = v.dur[:n]
-		v.groupDur = v.groupDur[:n]
-	}
+	dur := make([]trace.Dur, n)
+	groupDur := make([]trace.Dur, n)
+	copy(dur, v.dur)
+	copy(groupDur, v.groupDur)
 	for i := have; i < n; i++ {
 		t := &v.Graph.Tasks[i]
-		v.dur[i] = t.Dur
-		v.groupDur[i] = t.GroupDur
+		dur[i] = t.Dur
+		groupDur[i] = t.GroupDur
 	}
+	v.dur, v.groupDur = dur, groupDur
 }
 
 // Columns lowers the view to flat duration columns covering every task of
@@ -86,21 +73,11 @@ func (v *Retimed) materialize() {
 // materialized per-task duration and group-duration arrays. The compiled
 // replay engine indexes these directly instead of calling the wrapper's
 // Dur/GroupDur per task. The returned slices are view-owned: valid until
-// the next override or Bind, and not to be modified by callers.
+// the next override, and not to be modified by callers.
 func (v *Retimed) Columns() (dur, groupDur []trace.Dur) {
 	if !v.Overridden() {
 		return nil, nil
 	}
-	v.materialize()
-	return v.dur, v.groupDur
-}
-
-// MaterializeColumns forces the override columns into existence (copying
-// the graph's durations on first call) and returns them for direct bulk
-// writes — the flat-array path retiming passes use instead of per-task
-// SetDur/SetGroupDur calls. The slices are view-owned and remain valid
-// until the next Bind.
-func (v *Retimed) MaterializeColumns() (dur, groupDur []trace.Dur) {
 	v.materialize()
 	return v.dur, v.groupDur
 }

@@ -55,16 +55,3 @@ func TestRetimedScale(t *testing.T) {
 		t.Fatalf("composed scale = %d, want 50", v.Dur(1))
 	}
 }
-
-func TestRetimedBindReuse(t *testing.T) {
-	g := retimeGraph()
-	v := NewRetimed(g)
-	v.SetDur(0, 1)
-	v.Bind(g)
-	if v.Overridden() {
-		t.Fatal("Bind must drop overrides")
-	}
-	if v.Dur(0) != 100 {
-		t.Fatal("rebound view must read through again")
-	}
-}

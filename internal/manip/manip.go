@@ -377,22 +377,6 @@ func PredictGraphOnFabric(req Request, lib *Library, fitted *kernelmodel.Fitted,
 	}, nil
 }
 
-// RetimeCommOnFabric transfers a synthesized graph's collective kernels to
-// a different fabric on a copy-on-write duration view, leaving the shared
-// structure untouched — the structural-batch-replay half of the fabric
-// what-if. Each collective group is re-priced with the same transfer math
-// Predictor.Comm applies at synthesis time (measured × target/base for
-// library-calibrated shapes, the target pricer's analytic cost otherwise),
-// so sibling planner points that differ only in fabric or degradation can
-// re-time one shared graph instead of re-synthesizing it. A nil basePricer
-// selects the library fabric's default backend. Returns the number of
-// collective groups repriced.
-func RetimeCommOnFabric(v *execgraph.Retimed, lib *Library, pricer, basePricer collective.Pricer) int {
-	pl := NewCommRetimePlan(v.Graph, lib, basePricer)
-	dur, groupDur := v.MaterializeColumns()
-	return pl.Retime(dur, groupDur, pricer)
-}
-
 // deterministicSim returns simulator settings with all stochastic and
 // contention effects disabled: the generator must be a pure function of the
 // graph and the duration assignments, exactly like the paper's simulator.

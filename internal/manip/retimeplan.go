@@ -37,8 +37,7 @@ type retimeGroup struct {
 }
 
 // NewCommRetimePlan lowers g's collective groups against lib. A nil
-// basePricer defaults to the library fabric's analytic model, matching
-// RetimeCommOnFabric.
+// basePricer defaults to the library fabric's analytic model.
 func NewCommRetimePlan(g *execgraph.Graph, lib *Library, basePricer collective.Pricer) *CommRetimePlan {
 	if basePricer == nil {
 		basePricer = collective.For(lib.fabric)
@@ -74,8 +73,11 @@ func (pl *CommRetimePlan) Groups() int { return len(pl.groups) }
 
 // Retime writes target-fabric collective durations into the flat duration
 // columns (len == task count): for each group, the measured duration scaled
-// by target/base cost, or the raw target cost when unmeasured — exactly the
-// arithmetic of RetimeCommOnFabric. It returns the repriced group count.
+// by target/base cost, or the raw target cost when unmeasured — the same
+// transfer math Predictor.Comm applies at synthesis time, so sibling
+// planner points that differ only in fabric or degradation can re-time one
+// shared graph instead of re-synthesizing it. It returns the repriced group
+// count.
 func (pl *CommRetimePlan) Retime(dur, groupDur []trace.Dur, pricer collective.Pricer) int {
 	for gi := range pl.groups {
 		gr := &pl.groups[gi]

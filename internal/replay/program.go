@@ -1,18 +1,19 @@
-// Compiled replay engine: Compile lowers a synthesized execgraph once into
-// an immutable structure-of-arrays Program — int-indexed task columns,
-// CSR-flattened dependency edges, dense per-resource kernel lanes, and a
-// precomputed seed frontier — and Program.Run executes retimed simulations
-// against it with a small reusable Scratch. The steady path allocates
-// nothing: the ready heap is a hand-rolled binary heap on a scratch slice
-// (no container/heap interface boxing), sync waiter lists are intrusive
-// chains in a pooled arena, and collective rendezvous state lives in flat
-// CSR slots sized at compile time.
+// Compiled replay engine, the one production replay path: Compile lowers
+// an execgraph once into an immutable structure-of-arrays Program —
+// int-indexed task columns, CSR-flattened dependency edges, dense
+// per-resource kernel lanes, and a precomputed seed frontier — and
+// Program.Run executes retimed simulations against it with a small
+// reusable Scratch. The steady path allocates nothing: the ready heap is a
+// hand-rolled binary heap on a scratch slice (no container/heap interface
+// boxing), sync waiter lists are intrusive chains in a pooled arena, and
+// collective rendezvous state lives in flat CSR slots sized at compile
+// time.
 //
-// The engine is bit-identical to the Simulator interpreter: the ready heap
-// orders by (recorded start, task ID) — a strict total order, so any
-// conforming heap pops the same sequence — and waiter/rendezvous folds are
-// order-independent max-reductions. The interpreter remains the reference
-// implementation (see WithReplayEngine in internal/core).
+// The engine is bit-identical to the reference interpreter in
+// replay/replayref: the ready heap orders by (recorded start, task ID) — a
+// strict total order, so any conforming heap pops the same sequence — and
+// waiter/rendezvous folds are order-independent max-reductions. The
+// interpreter is imported only by tests, as the oracle for that identity.
 package replay
 
 import (
@@ -132,7 +133,7 @@ func Compile(g *execgraph.Graph, opts Options) *Program {
 	p.outStart[n] = int32(len(p.outEdge))
 
 	// GPU kernel lanes, CSR by processor, members in task order (matching
-	// the interpreter's bind, which appends while scanning tasks).
+	// the reference interpreter's bind, which appends while scanning tasks).
 	p.kernStart = make([]int32, p.nProcs+1)
 	for i := range g.Tasks {
 		if g.Tasks[i].Kind == execgraph.TaskGPU {
@@ -191,12 +192,6 @@ func Compile(g *execgraph.Graph, opts Options) *Program {
 	}
 	return p
 }
-
-// Graph returns the source graph the program was compiled from.
-func (p *Program) Graph() *execgraph.Graph { return p.g }
-
-// NumTasks returns the compiled task count.
-func (p *Program) NumTasks() int { return p.nTasks }
 
 // BaseDur returns the recorded per-task duration column. The slice is
 // program-owned and must not be modified; copy it to seed a Timings buffer.
@@ -283,7 +278,7 @@ func (s *Scratch) bind(p *Program) {
 }
 
 // pushReady inserts a task into the manual binary ready heap, ordered by
-// (recorded start, task ID) — the same strict total order as the
+// (recorded start, task ID) — the same strict total order as the reference
 // interpreter's container/heap, so the pop sequence is identical.
 func (s *Scratch) pushReady(task int32, recStart trace.Time) {
 	h := append(s.ready, readyItem{task, recStart})
@@ -370,9 +365,9 @@ func (p *Program) Run(t Timings, s *Scratch) (*Result, error) {
 		return nil, e
 	}
 
-	// A fresh Result per run (the only steady-path allocation), matching
-	// the interpreter's contract: scalar fields outlive the scratch, while
-	// Start/End/RankSpan alias scratch buffers valid until its next Run.
+	// A fresh Result per run (the only steady-path allocation): scalar
+	// fields outlive the scratch, while Start/End/RankSpan alias scratch
+	// buffers valid until its next Run.
 	res := &Result{Start: s.start, End: s.end, Executed: s.executed}
 	res.RankSpan = s.rankSpan
 	for r := range res.RankSpan {
@@ -400,7 +395,8 @@ func (p *Program) Run(t Timings, s *Scratch) (*Result, error) {
 	return res, nil
 }
 
-// execute runs one ready task, mirroring Simulator.execute exactly.
+// execute runs one ready task, applying runtime-dependency semantics:
+// synchronization waits, collective rendezvous, or a plain processor slot.
 func (s *Scratch) execute(id int32) {
 	p := s.prog
 
@@ -572,23 +568,14 @@ type Counters struct {
 	// CompiledPrograms counts graph lowerings (Compile calls made on
 	// behalf of this counter set).
 	CompiledPrograms atomic.Int64
-	// CompiledRuns and InterpretedRuns count simulations per engine.
-	CompiledRuns    atomic.Int64
-	InterpretedRuns atomic.Int64
+	// CompiledRuns counts simulations.
+	CompiledRuns atomic.Int64
 }
 
-// Engine is the common surface of the interpreted Simulator and the
-// compiled engine: replay a graph, optionally through a retimed view.
-// Engines are not safe for concurrent use — pool one per worker.
-type Engine interface {
-	Run(g *execgraph.Graph) (*Result, error)
-	RunRetimed(v *execgraph.Retimed) (*Result, error)
-}
-
-// Compiled is the compiled-engine counterpart of Simulator: the same
-// Run/RunRetimed surface, executed by lowering the bound graph to a Program
-// once and running it on an embedded Scratch. Retimed views lower to flat
-// duration columns instead of per-task wrapper calls.
+// Compiled is a poolable replay engine: it lowers the bound graph to a
+// Program once and runs it on an embedded Scratch. Retimed views lower to
+// flat duration columns instead of per-task wrapper calls. A Compiled is
+// not safe for concurrent use — pool one per worker.
 type Compiled struct {
 	opts    Options
 	prog    *Program
@@ -607,8 +594,9 @@ func (c *Compiled) Meter(m *Counters) { c.meter = m }
 // this engine skips its own lowering of the same graph.
 func (c *Compiled) Use(p *Program) { c.prog = p }
 
-// ensure binds a program for g, compiling unless the bound one matches.
-// Like Simulator.bind, a graph that grew since compilation is re-lowered.
+// ensure binds a program for g, compiling unless the bound one matches. A
+// graph that grew since compilation (builders may append tasks between
+// runs) is re-lowered.
 func (c *Compiled) ensure(g *execgraph.Graph) *Program {
 	if c.prog == nil || c.prog.g != g || c.prog.nTasks != len(g.Tasks) {
 		c.prog = Compile(g, c.opts)

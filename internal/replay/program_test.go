@@ -1,4 +1,4 @@
-package replay
+package replay_test
 
 import (
 	"errors"
@@ -9,6 +9,8 @@ import (
 	"lumos/internal/execgraph"
 	"lumos/internal/model"
 	"lumos/internal/parallel"
+	"lumos/internal/replay"
+	"lumos/internal/replay/replayref"
 	"lumos/internal/topology"
 	"lumos/internal/trace"
 )
@@ -41,7 +43,7 @@ func schedGraph(t *testing.T, pol parallel.SchedulePolicy, tp, pp, dp, mb int, s
 
 // mustMatch asserts two results are bit-identical: every per-task time,
 // every rank span, the makespan and the executed count.
-func mustMatch(t *testing.T, want, got *Result, label string) {
+func mustMatch(t *testing.T, want, got *replay.Result, label string) {
 	t.Helper()
 	if want.Executed != got.Executed {
 		t.Fatalf("%s: executed %d != %d", label, got.Executed, want.Executed)
@@ -62,8 +64,9 @@ func mustMatch(t *testing.T, want, got *Result, label string) {
 
 // TestCompiledMatchesInterpreterSchedules is the bit-identity property test:
 // for every pipeline schedule, on randomized synthesized graphs, the
-// compiled engine must reproduce the interpreter exactly — with recorded
-// durations and through degraded-fabric-style retimed views.
+// compiled engine must reproduce the reference interpreter (replayref)
+// exactly — with recorded durations and through degraded-fabric-style
+// retimed views.
 func TestCompiledMatchesInterpreterSchedules(t *testing.T) {
 	schedules := []struct {
 		name string
@@ -78,8 +81,8 @@ func TestCompiledMatchesInterpreterSchedules(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			for _, seed := range []uint64{7, 71} {
 				g := schedGraph(t, sc.pol, 2, 2, 1, 4, seed)
-				sim := NewSimulator(DefaultOptions())
-				eng := NewCompiled(DefaultOptions())
+				sim := replayref.NewSimulator(replay.DefaultOptions())
+				eng := replay.NewCompiled(replay.DefaultOptions())
 
 				want, err := sim.Run(g)
 				if err != nil {
@@ -117,12 +120,12 @@ func TestCompiledMatchesInterpreterSchedules(t *testing.T) {
 // configuration, where no rendezvous groups are compiled.
 func TestCompiledUncoupledMatchesInterpreter(t *testing.T) {
 	g := schedGraph(t, parallel.OneFOneB, 2, 2, 1, 4, 13)
-	opts := Options{SyncMinDur: 1500, CoupleCollectives: false}
-	want, err := NewSimulator(opts).Run(g)
+	opts := replay.Options{SyncMinDur: 1500, CoupleCollectives: false}
+	want, err := replayref.NewSimulator(opts).Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewCompiled(opts).Run(g)
+	got, err := replay.NewCompiled(opts).Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +146,13 @@ func deadlockGraph() *execgraph.Graph {
 }
 
 // TestCompiledDeadlockParity requires the compiled engine to fail exactly
-// like the interpreter: same typed *DeadlockError, same counts, same stuck
-// sample.
+// like the reference interpreter: same typed *DeadlockError, same counts,
+// same stuck sample.
 func TestCompiledDeadlockParity(t *testing.T) {
 	g := deadlockGraph()
-	_, ierr := NewSimulator(DefaultOptions()).Run(g)
-	_, cerr := NewCompiled(DefaultOptions()).Run(g)
-	var iw, cw *DeadlockError
+	_, ierr := replayref.NewSimulator(replay.DefaultOptions()).Run(g)
+	_, cerr := replay.NewCompiled(replay.DefaultOptions()).Run(g)
+	var iw, cw *replay.DeadlockError
 	if !errors.As(ierr, &iw) {
 		t.Fatalf("interpreter error %v is not a DeadlockError", ierr)
 	}
@@ -165,14 +168,14 @@ func TestCompiledDeadlockParity(t *testing.T) {
 }
 
 // TestCompiledEngineReuse moves one engine (and its scratch) across graphs
-// and between plain and retimed runs, mirroring the pooled-simulator
-// contract.
+// of different shapes: every run must match a fresh reference interpreter
+// on the same graph.
 func TestCompiledEngineReuse(t *testing.T) {
 	gSmall := schedGraph(t, parallel.OneFOneB, 2, 1, 1, 4, 49)
 	gLarge := schedGraph(t, parallel.OneFOneB, 2, 2, 1, 4, 49)
-	eng := NewCompiled(DefaultOptions())
+	eng := replay.NewCompiled(replay.DefaultOptions())
 	for _, g := range []*execgraph.Graph{gSmall, gLarge, gSmall} {
-		want, err := Run(g, DefaultOptions())
+		want, err := replayref.NewSimulator(replay.DefaultOptions()).Run(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,8 +193,8 @@ func TestCompiledEngineReuse(t *testing.T) {
 // for testing harness noise only).
 func TestReplayAllocBudget(t *testing.T) {
 	g := schedGraph(t, parallel.ZBH1, 2, 2, 1, 4, 23)
-	prog := Compile(g, DefaultOptions())
-	scratch := NewScratch()
+	prog := replay.Compile(g, replay.DefaultOptions())
+	scratch := replay.NewScratch()
 
 	// Retimed columns prepared once, as core's pooled timing buffers are.
 	dur := append([]trace.Dur(nil), prog.BaseDur()...)
@@ -199,17 +202,61 @@ func TestReplayAllocBudget(t *testing.T) {
 	for i := range dur {
 		dur[i] = dur[i] * 3 / 2
 	}
-	if _, err := prog.Run(Timings{Dur: dur, GroupDur: gdur}, scratch); err != nil {
+	if _, err := prog.Run(replay.Timings{Dur: dur, GroupDur: gdur}, scratch); err != nil {
 		t.Fatal(err)
 	}
 
 	const budget = 8
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := prog.Run(Timings{Dur: dur, GroupDur: gdur}, scratch); err != nil {
+		if _, err := prog.Run(replay.Timings{Dur: dur, GroupDur: gdur}, scratch); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg > budget {
 		t.Fatalf("retimed compiled run allocates %.1f/run, budget %d", avg, budget)
+	}
+}
+
+// BenchmarkReplayEngine measures the compiled engine head to head with the
+// reference interpreter on one synthesized graph (15B, 2x2x1, 1F1B, 4
+// microbatches): a retimed replay per iteration, each engine reusing its
+// own warm state. Sub-benchmarks carry an engine=<compiled|interpreted>
+// label that cmd/benchjson records; the engines are bit-identical
+// (TestCompiledMatchesInterpreterSchedules), so only the costs may differ.
+func BenchmarkReplayEngine(b *testing.B) {
+	m, err := topology.NewMapping(2, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := parallel.DefaultConfig(model.GPT3_15B(), m)
+	cfg.Microbatches = 4
+	traces, err := cluster.Run(cfg, cluster.DefaultSimConfig(m.WorldSize(), 5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := execgraph.Build(traces, execgraph.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := execgraph.NewRetimed(g)
+	v.Scale(func(tk *execgraph.Task) bool { return tk.Class == trace.KCGEMM }, 0.5)
+
+	engines := []struct {
+		name string
+		run  func(*execgraph.Retimed) (*replay.Result, error)
+	}{
+		{"compiled", replay.NewCompiled(replay.DefaultOptions()).RunRetimed},
+		{"interpreted", replayref.NewSimulator(replay.DefaultOptions()).RunRetimed},
+	}
+	for _, e := range engines {
+		b.Run("engine="+e.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.run(v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(g.Tasks)), "tasks")
+		})
 	}
 }

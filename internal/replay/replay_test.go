@@ -1,4 +1,4 @@
-package replay
+package replay_test
 
 import (
 	"testing"
@@ -7,6 +7,7 @@ import (
 	"lumos/internal/execgraph"
 	"lumos/internal/model"
 	"lumos/internal/parallel"
+	"lumos/internal/replay"
 	"lumos/internal/topology"
 	"lumos/internal/trace"
 )
@@ -34,7 +35,7 @@ func TestReplayReproducesRecording(t *testing.T) {
 	// Replaying a graph with its recorded durations must land within 1% of
 	// the recorded iteration time — the paper's self-replay sanity check.
 	traces, g := simGraph(t, 2, 2, 2, 4, 31)
-	res, err := Run(g, DefaultOptions())
+	res, err := replay.Run(g, replay.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +52,11 @@ func TestReplayReproducesRecording(t *testing.T) {
 
 func TestReplayDeterministic(t *testing.T) {
 	_, g := simGraph(t, 2, 2, 1, 4, 33)
-	a, err := Run(g, DefaultOptions())
+	a, err := replay.Run(g, replay.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(g, DefaultOptions())
+	b, err := replay.Run(g, replay.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestReplayDeterministic(t *testing.T) {
 
 func TestReplayRespectsDependencies(t *testing.T) {
 	_, g := simGraph(t, 2, 2, 1, 4, 35)
-	res, err := Run(g, DefaultOptions())
+	res, err := replay.Run(g, replay.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestReplayProcessorsExclusive(t *testing.T) {
 	// Tasks on the same processor must not overlap, except collective
 	// members spanning their rendezvous wait (start = own ready).
 	_, g := simGraph(t, 2, 2, 1, 4, 37)
-	res, err := Run(g, DefaultOptions())
+	res, err := replay.Run(g, replay.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestReplayProcessorsExclusive(t *testing.T) {
 
 func TestCollectiveCouplingInReplay(t *testing.T) {
 	_, g := simGraph(t, 2, 2, 2, 4, 39)
-	res, err := Run(g, DefaultOptions())
+	res, err := replay.Run(g, replay.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +134,9 @@ func TestCollectiveCouplingInReplay(t *testing.T) {
 
 func TestUncoupledReplayUsesRecordedDurations(t *testing.T) {
 	_, g := simGraph(t, 2, 2, 2, 4, 41)
-	opts := DefaultOptions()
+	opts := replay.DefaultOptions()
 	opts.CoupleCollectives = false
-	res, err := Run(g, opts)
+	res, err := replay.Run(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestSyncWaitsForStream(t *testing.T) {
 	// Every stream-sync task must end no earlier than the last kernel on
 	// its stream that was enqueued before it.
 	_, g := simGraph(t, 2, 2, 2, 4, 43)
-	res, err := Run(g, DefaultOptions())
+	res, err := replay.Run(g, replay.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +182,11 @@ func TestSyncWaitsForStream(t *testing.T) {
 
 func TestToTraceRoundTrip(t *testing.T) {
 	traces, g := simGraph(t, 2, 1, 1, 4, 45)
-	res, err := Run(g, DefaultOptions())
+	res, err := replay.Run(g, replay.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := ToTrace(g, res)
+	out := replay.ToTrace(g, res)
 	if out.NumRanks() != traces.NumRanks() {
 		t.Fatal("rank count changed")
 	}
@@ -213,7 +214,7 @@ func taskCount(g *execgraph.Graph, rank int) int {
 
 func TestEmptyGraph(t *testing.T) {
 	g := execgraph.NewGraph(1)
-	res, err := Run(g, DefaultOptions())
+	res, err := replay.Run(g, replay.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,36 +1,37 @@
-package replay
+package replay_test
 
 import (
 	"errors"
 	"testing"
 
 	"lumos/internal/execgraph"
+	"lumos/internal/replay"
 )
 
-// TestSimulatorReuseMatchesFreshRuns verifies the pooled-simulator
-// contract: a Simulator reused across runs (same graph, then a retimed
-// view, then the plain graph again) must produce exactly the times a fresh
-// Run produces each time.
+// TestSimulatorReuseMatchesFreshRuns verifies the pooled-engine contract: a
+// Compiled engine reused across runs (same graph, then a retimed view that
+// halves every kernel, then the plain graph again) must produce exactly the
+// times a fresh one-shot Run produces each time.
 func TestSimulatorReuseMatchesFreshRuns(t *testing.T) {
 	_, g := simGraph(t, 2, 2, 1, 4, 47)
-	fresh, err := Run(g, DefaultOptions())
+	fresh, err := replay.Run(g, replay.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := NewSimulator(DefaultOptions())
+	eng := replay.NewCompiled(replay.DefaultOptions())
 
-	first, err := sim.Run(g)
+	first, err := eng.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Makespan != fresh.Makespan {
-		t.Fatalf("reused sim makespan %d != fresh %d", first.Makespan, fresh.Makespan)
+		t.Fatalf("reused engine makespan %d != fresh %d", first.Makespan, fresh.Makespan)
 	}
 
 	// A retimed run in between must not contaminate subsequent plain runs.
 	v := execgraph.NewRetimed(g)
 	v.Scale(func(tk *execgraph.Task) bool { return tk.Kind == execgraph.TaskGPU }, 0.5)
-	scaled, err := sim.RunRetimed(v)
+	scaled, err := eng.RunRetimed(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestSimulatorReuseMatchesFreshRuns(t *testing.T) {
 		t.Fatalf("halving every kernel did not speed up: %d vs %d", scaled.Makespan, fresh.Makespan)
 	}
 
-	again, err := sim.Run(g)
+	again, err := eng.Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,35 +48,35 @@ func TestSimulatorReuseMatchesFreshRuns(t *testing.T) {
 	}
 	for i := range fresh.Start {
 		if again.Start[i] != fresh.Start[i] || again.End[i] != fresh.End[i] {
-			t.Fatalf("task %d times differ after simulator reuse", i)
+			t.Fatalf("task %d times differ after engine reuse", i)
 		}
 	}
 }
 
-// TestSimulatorRebinds verifies a pooled simulator can move between graphs
-// of different shapes.
+// TestSimulatorRebinds verifies a pooled Compiled engine can move between
+// graphs of different shapes, re-lowering each time.
 func TestSimulatorRebinds(t *testing.T) {
 	_, small := simGraph(t, 2, 1, 1, 4, 49)
 	_, large := simGraph(t, 2, 2, 1, 4, 49)
-	sim := NewSimulator(DefaultOptions())
+	eng := replay.NewCompiled(replay.DefaultOptions())
 	for _, g := range []*execgraph.Graph{small, large, small} {
-		want, err := Run(g, DefaultOptions())
+		want, err := replay.Run(g, replay.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sim.Run(g)
+		got, err := eng.Run(g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Makespan != want.Makespan || got.Executed != want.Executed {
-			t.Fatalf("rebound sim: makespan %d/%d executed %d/%d",
+			t.Fatalf("rebound engine: makespan %d/%d executed %d/%d",
 				got.Makespan, want.Makespan, got.Executed, want.Executed)
 		}
 	}
 }
 
 // TestDeadlockError verifies an unexecutable graph surfaces as a typed
-// DeadlockError identifying the stuck tasks, instead of a silent count
+// replay.DeadlockError identifying the stuck tasks, instead of a silent count
 // mismatch left for callers to notice.
 func TestDeadlockError(t *testing.T) {
 	g := execgraph.NewGraph(1)
@@ -87,10 +88,10 @@ func TestDeadlockError(t *testing.T) {
 	// resolve.
 	g.Tasks[b].NFixedIn = 1
 
-	_, err := Run(g, DefaultOptions())
-	var dl *DeadlockError
+	_, err := replay.Run(g, replay.DefaultOptions())
+	var dl *replay.DeadlockError
 	if !errors.As(err, &dl) {
-		t.Fatalf("err = %v, want *DeadlockError", err)
+		t.Fatalf("err = %v, want *replay.DeadlockError", err)
 	}
 	if dl.Executed != 1 || dl.Total != 2 {
 		t.Fatalf("deadlock counts: %d/%d", dl.Executed, dl.Total)
@@ -101,12 +102,13 @@ func TestDeadlockError(t *testing.T) {
 }
 
 // TestUncoupledRetimedComm checks duration views reach uncoupled comm
-// kernels too.
+// kernels too: with no rendezvous groups compiled, an overridden comm
+// kernel replays its overridden duration.
 func TestUncoupledRetimedComm(t *testing.T) {
 	_, g := simGraph(t, 2, 2, 2, 4, 51)
-	opts := DefaultOptions()
+	opts := replay.DefaultOptions()
 	opts.CoupleCollectives = false
-	sim := NewSimulator(opts)
+	eng := replay.NewCompiled(opts)
 	v := execgraph.NewRetimed(g)
 	var firstComm int32 = -1
 	for i := range g.Tasks {
@@ -119,7 +121,7 @@ func TestUncoupledRetimedComm(t *testing.T) {
 		t.Fatal("no comm kernels")
 	}
 	v.SetDur(firstComm, 12345)
-	res, err := sim.RunRetimed(v)
+	res, err := eng.RunRetimed(v)
 	if err != nil {
 		t.Fatal(err)
 	}

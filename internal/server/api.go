@@ -443,8 +443,9 @@ type SearchStats struct {
 }
 
 // EngineStats aggregates replay-engine activity across every request served
-// since startup: graph lowerings into compiled programs, runs on the
-// compiled engine, and runs on the reference interpreter.
+// since startup: graph lowerings into compiled programs and runs on the
+// compiled engine. InterpretedRuns is always 0 — every replay runs the
+// compiled engine — and stays in the response for existing readers.
 type EngineStats struct {
 	CompiledPrograms int64 `json:"compiled_programs"`
 	CompiledRuns     int64 `json:"compiled_runs"`

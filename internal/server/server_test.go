@@ -260,7 +260,7 @@ func TestPlanBnBStats(t *testing.T) {
 		t.Fatalf("stats report no compiled-engine activity: %+v", stats.Engine)
 	}
 	if stats.Engine.InterpretedRuns != 0 {
-		t.Fatalf("default engine should not run the interpreter: %+v", stats.Engine)
+		t.Fatalf("interpreted_runs must stay 0, every replay is compiled: %+v", stats.Engine)
 	}
 }
 

@@ -84,23 +84,6 @@ func WithGraphOptions(g execgraph.BuildOptions) Option { return core.WithGraphOp
 // WithReplayOptions overrides simulation options.
 func WithReplayOptions(r replay.Options) Option { return core.WithReplayOptions(r) }
 
-// EngineKind selects the replay engine implementation.
-type EngineKind = core.EngineKind
-
-// Replay engine kinds: EngineCompiled (default) lowers each synthesized
-// graph once into a flat structure-of-arrays program and replays it on
-// reusable zero-allocation scratch; EngineInterpreted is the reference
-// map-based interpreter. Both produce bit-identical results.
-const (
-	EngineCompiled    = core.EngineCompiled
-	EngineInterpreted = core.EngineInterpreted
-)
-
-// WithReplayEngine selects the replay engine used by sweeps, plans, and
-// what-if analysis. Predictions are bit-identical across engines; the
-// interpreter is retained as a cross-check reference.
-func WithReplayEngine(k EngineKind) Option { return core.WithReplayEngine(k) }
-
 // WithConcurrency bounds the number of scenarios evaluated in parallel
 // during a sweep.
 func WithConcurrency(n int) Option { return core.WithConcurrency(n) }
